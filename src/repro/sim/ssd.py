@@ -18,26 +18,30 @@ Replay modes
 
 Timed-mode device model
 -----------------------
-On a single-chip, single-channel device the flash back end is one
-FCFS resource and a request holds it for its whole service time (the
-historical model, pinned byte-identical by the golden timed run).  On a
-multi-chip device the engine instead overlays *chip-level concurrency*:
-the FTL services each request synchronously in arrival order (so FTL
-state evolves deterministically, independent of timing), while the
-device op log reports which chips the request busied and for how long,
-split into array time (chip-only) and bus-transfer time (chip + its
-channel).  Each chip visit then queues on its chip's resource and each
-transfer additionally on the channel's bus resource, so requests that
-touch different chips proceed in parallel — ``NandSpec.num_chips`` and
-``num_channels`` finally buy concurrency instead of being serialized
-through one token.
+One overlay serves every topology ``(num_chips, num_channels,
+planes_per_chip)``.  The FTL services each request synchronously at
+dispatch, in arrival order, so FTL state evolves deterministically and
+independently of timing.  The device op log then reports which
+(chip, plane) units the request busied and for how long, split into
+array time and bus-transfer time.  Each touched unit is one visit: the
+visit holds its plane for transfer + array time, and during the
+transfer it also holds the channel bus and, on multi-plane devices,
+the chip's shared die I/O port.  Requests that touch different chips
+or planes therefore proceed in parallel, sibling planes overlap their
+array times, and transfers serialize through the die and the bus.
+With one plane per chip the plane resource *is* the chip and there is
+no separate port; a single-chip, single-channel device is the same
+overlay with one plane and one bus.  A request that logs no device
+work (a RAM-map TRIM) completes at dispatch.
 
-On a multi-*plane* device (``NandSpec.planes_per_chip > 1``) the
-overlay goes one level deeper: each op-log segment is (chip, plane)-
-attributed, a visit holds its *plane* for transfer + array time while
-the chip (the shared die I/O port) and the channel bus are held only
-during the transfer — so sibling planes overlap their array times and
-multi-plane program/erase commands buy real concurrency.
+Device work is conserved: the op-log array and transfer times of a
+timed replay sum to ``read_us + write_us + trim_us`` plus the
+reliability stack's ``refresh_us``.  Refresh relocations run inside
+host operations and queue on the device like any other work, but they
+are deliberately not billed to host latency (see
+``ReliabilityHost._maybe_refresh``).  The one other excess is a fused
+multi-plane erase, which logs its shared array time once per sibling
+plane but bills it once.
 
 The arrival process is an :class:`~repro.sim.arrival.ArrivalSpec`: an
 *open* loop walks the trace timestamps (``scale`` divides the gaps,
@@ -45,8 +49,6 @@ The arrival process is an :class:`~repro.sim.arrival.ArrivalSpec`: an
 keeps a fixed population of ``queue_depth`` requests outstanding and
 admits the next one on each completion — the fio-style saturation
 driver whose ``throughput_kiops`` at QD = N is the QD-sweep metric.
-The legacy ``queue_depth`` / ``arrival_scale`` keywords of
-:meth:`SSD.replay` still work and map onto an open-loop spec.
 """
 
 from __future__ import annotations
@@ -301,8 +303,6 @@ class SSD:
         self,
         trace: Trace,
         mode: str = "sequential",
-        queue_depth: int = 0,
-        arrival_scale: float = 1.0,
         tenants: tuple[tuple[str, int, int], ...] = (),
         arrival: ArrivalSpec | None = None,
     ) -> RunResult:
@@ -310,10 +310,9 @@ class SSD:
 
         ``arrival`` (timed mode) is the arrival discipline — open-loop
         trace timestamps or a closed fixed-QD population (see
-        :class:`~repro.sim.arrival.ArrivalSpec`).  The legacy
-        ``queue_depth`` / ``arrival_scale`` keywords spell the open-loop
-        knobs directly and may not be combined with ``arrival``.  The
-        arrival process is ignored by sequential replays.
+        :class:`~repro.sim.arrival.ArrivalSpec`; default: open loop at
+        the trace's own pace, unbounded queue).  The arrival process is
+        ignored by sequential replays.
 
         ``tenants`` — ``(name, start_byte, size_bytes)`` LBA partitions
         — turns on per-tenant accounting: each request is attributed to
@@ -321,12 +320,7 @@ class SSD:
         ``tenant_*`` aggregates.
         """
         if arrival is None:
-            arrival = ArrivalSpec(queue_depth=queue_depth, scale=arrival_scale)
-        elif queue_depth != 0 or arrival_scale != 1.0:
-            raise ConfigError(
-                "pass either arrival= or the legacy queue_depth/arrival_scale "
-                "keywords, not both"
-            )
+            arrival = ArrivalSpec()
         self._tenant_ranges = tuple(
             (start, start + size, name) for name, start, size in tenants
         )
@@ -393,30 +387,19 @@ class SSD:
         return result
 
     def _timed_topology(self) -> tuple[int, int, int]:
-        """(num_chips, num_channels, planes_per_chip) of the FTL's
-        device (1/1/1 fallback for bare test FTLs with no device)."""
-        device = getattr(self.ftl, "device", None)
-        spec = getattr(device, "spec", None)
-        if spec is None:
-            return 1, 1, 1
-        return spec.num_chips, spec.num_channels, spec.planes_per_chip
+        """(num_chips, num_channels, planes_per_chip) of the FTL's device.
 
-    def _replay_timed(self, trace: Trace, arrival: ArrivalSpec) -> RunResult:
-        result = self._base_result(trace)
-        num_chips, num_channels, planes = self._timed_topology()
-        if planes > 1:
-            timed_extra = self._replay_timed_planes(
-                trace, result, arrival, num_chips, num_channels, planes
+        Raises :class:`ConfigError` for an FTL with no NAND device: the
+        timed overlay schedules the device's op log, so there is nothing
+        to time without one.
+        """
+        spec = getattr(getattr(self.ftl, "device", None), "spec", None)
+        if spec is None:
+            raise ConfigError(
+                f"timed replay needs an FTL backed by a NAND device; "
+                f"{self.ftl.name!r} has none"
             )
-        elif num_chips == 1 and num_channels == 1:
-            timed_extra = self._replay_timed_serialized(trace, result, arrival)
-        else:
-            timed_extra = self._replay_timed_parallel(
-                trace, result, arrival, num_chips, num_channels
-            )
-        self._finalize(result)  # rebuilds result.extra from the FTL stats
-        result.extra.update(timed_extra)
-        return result
+        return spec.num_chips, spec.num_channels, spec.planes_per_chip
 
     def _timed_source(
         self,
@@ -426,14 +409,12 @@ class SSD:
         slots: Resource | None,
         dispatch: Callable[[IORequest, float], Generator[Event, None, None]],
     ) -> Generator[Event, None, None]:
-        """The open-loop arrival process both timed paths share.
+        """The open-loop arrival process of the timed overlay.
 
         Walks the trace at its (scaled) timestamps, waits for a host
         queue slot when one is configured, and hands each request — with
         its arrival time, captured *before* any admission wait — to
-        ``dispatch``, the per-request coroutine of the device model in
-        use.  One definition, so the serialized and channel-parallel
-        engines can never disagree on the arrival semantics.
+        ``dispatch``, the overlay's per-request coroutine.
         """
         previous = 0.0
         for request in trace:
@@ -518,144 +499,91 @@ class SSD:
                     response_us
                 )
 
-    def _replay_timed_serialized(
-        self,
-        trace: Trace,
-        result: RunResult,
-        arrival: ArrivalSpec,
-    ) -> dict[str, float]:
-        """Single-chip, single-channel timed replay.
-
-        The historical capacity-1 model: a request holds the whole
-        back end for its summed service time.  With the default open
-        arrival (``queue_depth=0``, ``scale=1.0``) the event schedule —
-        and therefore every response time — is byte-identical to the
-        pre-refactor engine, which the golden timed run pins.
-        """
-        engine = Engine()
-        device = Resource(engine, capacity=1)
-        slots = (
-            Resource(engine, capacity=arrival.queue_depth)
-            if arrival.queue_depth and not arrival.is_closed
-            else None
-        )
-
-        def one_request(
-            request: IORequest, arrival_us: float
-        ) -> Generator[Event, None, None]:
-            grant = device.request()
-            yield grant
-            latency = self.service(request)
-            yield engine.timeout(latency)
-            device.release()
-            if slots is not None:
-                slots.release()
-            self._account_timed(result, request, latency, engine.now - arrival_us)
-
-        self._drive(engine, trace, arrival, slots, one_request)
-        result.simulated_us = engine.now
-        if slots is not None:
-            return {"timed.admission_wait_us": slots.wait_us}
-        return {}
-
-    def _service_profiled(
-        self, request: IORequest
+    def _service_profiled_planes(
+        self, request: IORequest, planes_per_chip: int
     ) -> tuple[float, dict[int, list[float]]]:
         """Service a request with the device op log armed.
 
-        Returns ``(latency, per_chip)`` where ``per_chip`` maps each
-        touched chip to its ``[transfer_us, array_us]`` totals for this
-        request (GC/merge/refresh work the request triggered included —
-        the synchronous stall a real device would impose).
+        Returns ``(latency, per_unit)`` where ``per_unit`` maps each
+        touched unit — flat index ``chip * planes_per_chip + plane`` —
+        to its ``[transfer_us, array_us]`` totals for this request.
+        GC/merge/refresh work the request triggered is included: it is
+        the synchronous stall a real device would impose.  Fused
+        multi-plane commands report one segment per plane sharing the
+        array time, so each plane is held for the real (overlapped)
+        duration.
         """
         device = self.ftl.device
         device.begin_oplog()
         latency = self.service(request)
         ops = device.end_oplog()
-        per_chip: dict[int, list[float]] = {}
-        for chip, _plane, array_us, transfer_us in ops:
-            totals = per_chip.get(chip)
-            if totals is None:
-                per_chip[chip] = [transfer_us, array_us]
-            else:
-                totals[0] += transfer_us
-                totals[1] += array_us
-        return latency, per_chip
-
-    def _service_profiled_planes(
-        self, request: IORequest
-    ) -> tuple[float, dict[tuple[int, int], list[float]]]:
-        """Like :meth:`_service_profiled`, keyed by (chip, plane).
-
-        Fused multi-plane commands report one segment per plane sharing
-        the array time, so each plane's resource is held for the real
-        (overlapped) duration.
-        """
-        device = self.ftl.device
-        device.begin_oplog()
-        latency = self.service(request)
-        ops = device.end_oplog()
-        per_plane: dict[tuple[int, int], list[float]] = {}
+        per_unit: dict[int, list[float]] = {}
         for chip, plane, array_us, transfer_us in ops:
-            totals = per_plane.get((chip, plane))
+            unit = chip * planes_per_chip + plane
+            totals = per_unit.get(unit)
             if totals is None:
-                per_plane[(chip, plane)] = [transfer_us, array_us]
+                per_unit[unit] = [transfer_us, array_us]
             else:
                 totals[0] += transfer_us
                 totals[1] += array_us
-        return latency, per_plane
+        return latency, per_unit
 
-    def _replay_timed_parallel(
-        self,
-        trace: Trace,
-        result: RunResult,
-        arrival: ArrivalSpec,
-        num_chips: int,
-        num_channels: int,
-    ) -> dict[str, float]:
-        """Channel-parallel timed replay (the multi-chip DES model).
+    def _replay_timed(self, trace: Trace, arrival: ArrivalSpec) -> RunResult:
+        """The timed replay engine (every topology; see the module
+        docstring for the device model).
 
-        The FTL runs synchronously at each request's dispatch (so its
-        state — mappings, GC, wear — evolves in arrival order exactly
-        as the serialized model's does), and the timing overlay then
-        queues the reported chip visits: each visit holds its chip for
-        transfer + array time, and the transfer portion additionally
-        holds the chip's channel bus.  A request completes when its
-        last chip visit does.
+        A visit holds its plane for transfer + array time, while the
+        channel bus — and on multi-plane devices the chip's die port —
+        are held only during the transfer.  With one plane per chip the
+        port could never be contended (the plane already serializes the
+        chip), so it is not modeled.  A request completes when its last
+        visit does.
         """
+        num_chips, num_channels, planes_per_chip = self._timed_topology()
+        result = self._base_result(trace)
         engine = Engine()
-        device = self.ftl.device
-        channel_of = device.geometry.channel_of_chip
-        chips = [Resource(engine) for _ in range(num_chips)]
+        channel_of = self.ftl.device.geometry.channel_of_chip
+        units = [Resource(engine) for _ in range(num_chips * planes_per_chip)]
+        ports = [Resource(engine) for _ in range(num_chips)] if planes_per_chip > 1 else []
         buses = [Resource(engine) for _ in range(num_channels)]
+        chip_of_unit = [unit // planes_per_chip for unit in range(len(units))]
+        unit_bus = [buses[channel_of(chip)] for chip in chip_of_unit]
+        unit_port: list[Resource | None] = (
+            [ports[chip] for chip in chip_of_unit] if ports else [None] * len(units)
+        )
         slots = (
             Resource(engine, capacity=arrival.queue_depth)
             if arrival.queue_depth and not arrival.is_closed
             else None
         )
 
-        def chip_visit(
-            chip_index: int, transfer_us: float, array_us: float
+        def unit_visit(
+            unit_index: int, transfer_us: float, array_us: float
         ) -> Generator[Event, None, None]:
-            chip = chips[chip_index]
-            yield chip.request()
+            unit = units[unit_index]
+            yield unit.request()
             if transfer_us > 0.0:
-                bus = buses[channel_of(chip_index)]
+                port = unit_port[unit_index]
+                if port is not None:
+                    yield port.request()
+                bus = unit_bus[unit_index]
                 yield bus.request()
                 yield engine.timeout(transfer_us)
                 bus.release()
+                if port is not None:
+                    port.release()
             if array_us > 0.0:
                 yield engine.timeout(array_us)
-            chip.release()
+            unit.release()
 
         def one_request(
             request: IORequest, arrival_us: float
         ) -> Generator[Event, None, None]:
-            latency, per_chip = self._service_profiled(request)
-            if per_chip:
+            latency, per_unit = self._service_profiled_planes(request, planes_per_chip)
+            if per_unit:
                 visits = [
-                    engine.process(chip_visit(chip, transfer_us, array_us))
-                    for chip, (transfer_us, array_us) in per_chip.items()
+                    engine.process(unit_visit(unit, transfer_us, array_us))
+                    for unit, (transfer_us, array_us) in per_unit.items()
                 ]
                 yield engine.all_of(visits)
             if slots is not None:
@@ -665,104 +593,23 @@ class SSD:
         self._drive(engine, trace, arrival, slots, one_request)
         makespan = engine.now
         result.simulated_us = makespan
-        extra: dict[str, float] = {}
-        if makespan > 0.0:
-            chip_utils = [chip.utilization(makespan) for chip in chips]
-            bus_utils = [bus.utilization(makespan) for bus in buses]
-            extra["timed.chip_util_mean"] = sum(chip_utils) / len(chip_utils)
-            extra["timed.chip_util_max"] = max(chip_utils)
-            extra["timed.bus_util_max"] = max(bus_utils)
-            extra["timed.chip_wait_us"] = sum(chip.wait_us for chip in chips)
+        self._finalize(result)  # rebuilds result.extra from the FTL stats
+        extra = result.extra
+        if makespan > 0.0 and len(units) > 1:
+            # Multi-plane devices report planes plus the die-port wait;
+            # single-plane ones report their units as chips.
+            level = "plane" if ports else "chip"
+            unit_utils = [unit.utilization(makespan) for unit in units]
+            extra[f"timed.{level}_util_mean"] = sum(unit_utils) / len(unit_utils)
+            extra[f"timed.{level}_util_max"] = max(unit_utils)
+            extra["timed.bus_util_max"] = max(bus.utilization(makespan) for bus in buses)
+            extra[f"timed.{level}_wait_us"] = sum(unit.wait_us for unit in units)
+            if ports:
+                extra["timed.chip_wait_us"] = sum(port.wait_us for port in ports)
             extra["timed.bus_wait_us"] = sum(bus.wait_us for bus in buses)
-            if slots is not None:
-                extra["timed.admission_wait_us"] = slots.wait_us
-        return extra
-
-    def _replay_timed_planes(
-        self,
-        trace: Trace,
-        result: RunResult,
-        arrival: ArrivalSpec,
-        num_chips: int,
-        num_channels: int,
-        planes_per_chip: int,
-    ) -> dict[str, float]:
-        """Plane-parallel timed replay (``planes_per_chip > 1``).
-
-        One level below the chip model: a visit holds its *plane* for
-        transfer + array time, while the chip — the die's shared I/O
-        port — and the channel bus are held only during the transfer.
-        Sibling planes therefore overlap their array times (the whole
-        point of multi-plane commands), but their transfers still
-        serialize through the die and the bus, exactly the contention a
-        real multi-plane die has.
-        """
-        engine = Engine()
-        device = self.ftl.device
-        channel_of = device.geometry.channel_of_chip
-        chips = [Resource(engine) for _ in range(num_chips)]
-        planes = [
-            [Resource(engine) for _ in range(planes_per_chip)]
-            for _ in range(num_chips)
-        ]
-        buses = [Resource(engine) for _ in range(num_channels)]
-        slots = (
-            Resource(engine, capacity=arrival.queue_depth)
-            if arrival.queue_depth and not arrival.is_closed
-            else None
-        )
-
-        def plane_visit(
-            chip_index: int, plane_index: int, transfer_us: float, array_us: float
-        ) -> Generator[Event, None, None]:
-            plane = planes[chip_index][plane_index]
-            yield plane.request()
-            if transfer_us > 0.0:
-                chip = chips[chip_index]
-                yield chip.request()
-                bus = buses[channel_of(chip_index)]
-                yield bus.request()
-                yield engine.timeout(transfer_us)
-                bus.release()
-                chip.release()
-            if array_us > 0.0:
-                yield engine.timeout(array_us)
-            plane.release()
-
-        def one_request(
-            request: IORequest, arrival_us: float
-        ) -> Generator[Event, None, None]:
-            latency, per_plane = self._service_profiled_planes(request)
-            if per_plane:
-                visits = [
-                    engine.process(plane_visit(chip, plane, transfer_us, array_us))
-                    for (chip, plane), (transfer_us, array_us) in per_plane.items()
-                ]
-                yield engine.all_of(visits)
-            if slots is not None:
-                slots.release()
-            self._account_timed(result, request, latency, engine.now - arrival_us)
-
-        self._drive(engine, trace, arrival, slots, one_request)
-        makespan = engine.now
-        result.simulated_us = makespan
-        extra: dict[str, float] = {}
-        if makespan > 0.0:
-            plane_utils = [
-                plane.utilization(makespan) for per_chip in planes for plane in per_chip
-            ]
-            bus_utils = [bus.utilization(makespan) for bus in buses]
-            extra["timed.plane_util_mean"] = sum(plane_utils) / len(plane_utils)
-            extra["timed.plane_util_max"] = max(plane_utils)
-            extra["timed.bus_util_max"] = max(bus_utils)
-            extra["timed.plane_wait_us"] = sum(
-                plane.wait_us for per_chip in planes for plane in per_chip
-            )
-            extra["timed.chip_wait_us"] = sum(chip.wait_us for chip in chips)
-            extra["timed.bus_wait_us"] = sum(bus.wait_us for bus in buses)
-            if slots is not None:
-                extra["timed.admission_wait_us"] = slots.wait_us
-        return extra
+        if slots is not None:
+            extra["timed.admission_wait_us"] = slots.wait_us
+        return result
 
     def _finalize(self, result: RunResult) -> None:
         stats = getattr(self.ftl, "stats", None)

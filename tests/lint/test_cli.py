@@ -5,7 +5,26 @@ import json
 import pytest
 
 import repro.cli
+import repro.lint
 from repro.cli import main
+
+
+@pytest.fixture(scope="module")
+def shipped_report():
+    """One lint pass over the shipped tree, shared by this module."""
+    return repro.lint.run_lint()
+
+
+@pytest.fixture
+def shared_pass(shipped_report, monkeypatch):
+    """Serve the CLI's bare ``repro lint`` from :func:`shipped_report`:
+    parsing, rendering and the exit code still run per test."""
+
+    def run_lint(paths=None, rules=None):
+        assert paths is None and rules is None
+        return shipped_report
+
+    monkeypatch.setattr(repro.lint, "run_lint", run_lint)
 
 
 @pytest.fixture
@@ -16,7 +35,7 @@ def dirty_file(tmp_path):
 
 
 class TestLintCommand:
-    def test_shipped_tree_exits_zero(self, capsys):
+    def test_shipped_tree_exits_zero(self, shared_pass, capsys):
         assert main(["lint"]) == 0
         out = capsys.readouterr().out
         assert "0 finding(s)" in out
@@ -62,7 +81,7 @@ class TestLintCommand:
             "OPLOG001",
         }
 
-    def test_json_clean_run(self, capsys):
+    def test_json_clean_run(self, shared_pass, capsys):
         assert main(["lint", "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["findings"] == []

@@ -9,8 +9,10 @@ from pathlib import Path
 
 import pytest
 
+import repro
 from repro.errors import ConfigError
 from repro.lint import run_lint
+from repro.lint.engine import default_target
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -296,15 +298,24 @@ class TestEngine:
         assert report.rules_run == ("DET002",)
 
 
-class TestRealTree:
-    def test_shipped_package_is_clean(self):
-        report = run_lint([REPO_ROOT / "src" / "repro"])
-        assert report.findings == [], report.render_text()
-        assert report.files_checked > 50
+@pytest.fixture(scope="module")
+def default_report():
+    """One lint pass over the default target, shared by the real-tree
+    checks below (each pass re-parses the whole package)."""
+    return run_lint()
 
-    def test_default_target_is_the_installed_package(self):
-        report = run_lint()
-        assert report.findings == [], report.render_text()
+
+class TestRealTree:
+    def test_shipped_package_is_clean(self, default_report):
+        # The default target is this checkout's package tree, so the
+        # shared default pass is the shipped-tree pass.
+        assert default_target() == (REPO_ROOT / "src" / "repro").resolve()
+        assert default_report.findings == [], default_report.render_text()
+        assert default_report.files_checked > 50
+
+    def test_default_target_is_the_installed_package(self, default_report):
+        assert default_target() == Path(repro.__file__).resolve().parent
+        assert default_report.findings == [], default_report.render_text()
 
     def test_tests_tree_passes_the_determinism_self_check(self):
         report = run_lint([REPO_ROOT / "tests"])

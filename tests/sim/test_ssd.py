@@ -100,6 +100,25 @@ class TestTimedReplay:
             result.response_times_us[1], rel=0.01
         )
 
+    def test_ftl_without_device_rejected_up_front(self):
+        class BareFTL:
+            name = "bare"
+            num_lpns = 8
+            serviced = 0
+
+            def host_write(self, lpn, nbytes=None):
+                self.serviced += 1
+                return 1.0
+
+        ftl = BareFTL()
+        ssd = SSD(ftl, page_size=512)
+        trace = Trace([IORequest(OpType.WRITE, 0, 512, 0.0)])
+        with pytest.raises(ConfigError, match="NAND device"):
+            ssd.replay(trace, mode="timed")
+        assert ftl.serviced == 0
+        # Sequential replays only need the FTL's latencies.
+        assert ssd.replay(trace).write_us == 1.0
+
 
 class TestWarmFill:
     def test_fill_maps_everything_and_resets_stats(self, ssd):

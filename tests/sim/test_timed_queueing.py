@@ -1,6 +1,6 @@
-"""The channel-parallel timed engine: concurrency, knobs, invariants.
+"""The timed overlay: concurrency, knobs, invariants.
 
-These tests pin the tentpole claims of the multi-chip DES model:
+These tests pin the claims of the DES device model:
 
 * chip parallelism buys real throughput and latency under load (the
   paper-style acceptance check);
@@ -16,13 +16,9 @@ import pytest
 
 from repro.bench.memo import ReplayRunner
 from repro.errors import ConfigError
-from repro.ftl.conventional import ConventionalFTL
-from repro.nand.device import NandDevice
-from repro.nand.spec import sim_spec, tiny_spec
+from repro.nand.spec import sim_spec
 from repro.scenario.spec import ScenarioSpec
 from repro.sim.arrival import ArrivalSpec
-from repro.sim.ssd import SSD
-from repro.traces.record import IORequest, OpType, Trace
 
 #: One shared memoizing runner: specs repeat across tests, replays don't.
 _RUNNER = ReplayRunner()
@@ -156,17 +152,11 @@ class TestHostKnobs:
         assert bounded.simulated_us >= driven.simulated_us
 
     def test_replay_validates_knobs(self):
-        spec = tiny_spec()
-        ssd = SSD(ConventionalFTL(NandDevice(spec)), spec.page_size)
-        trace = Trace([IORequest(OpType.WRITE, 0, spec.page_size)])
+        # The replay's knobs are an ArrivalSpec, validated at construction.
         with pytest.raises(ConfigError, match=r"arrival\.queue_depth"):
-            ssd.replay(trace, mode="timed", queue_depth=-1)
+            ArrivalSpec(queue_depth=-1)
         with pytest.raises(ConfigError, match=r"arrival\.scale"):
-            ssd.replay(trace, mode="timed", arrival_scale=0.0)
-        with pytest.raises(ConfigError, match="not both"):
-            ssd.replay(
-                trace, mode="timed", queue_depth=4, arrival=ArrivalSpec()
-            )
+            ArrivalSpec(scale=0.0)
 
 
 class TestClosedLoop:
