@@ -191,9 +191,8 @@ def capture() -> dict:
     for name, spec in sorted(golden_specs().items()):
         payload["runs"][name] = summarize(runner.run(spec))
     # One timed-mode replay: exercises the DES queueing path and the
-    # response-time percentiles.  Single chip, single channel — this is
-    # the PRE-REFACTOR capacity-1 device model, which the PR 5
-    # channel-parallel engine must keep byte-identical.
+    # response-time percentiles.  Single chip, single channel — the
+    # timed overlay with one plane and one bus.
     from repro.scenario.run import execute_scenario
 
     spec = ScenarioSpec(

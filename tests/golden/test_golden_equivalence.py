@@ -53,9 +53,9 @@ def _assert_equal(path: str, expected, actual) -> None:
         assert expected == actual, f"{path}: {expected!r} != {actual!r}"
 
 
-#: capture() entries beyond the ReplaySpec matrix: the pre-refactor
-#: single-chip timed run, the PR 5 channel-parallel timed run, and the
-#: plane-overlay / closed-loop runs.
+#: capture() entries beyond the ReplaySpec matrix: the timed overlay on
+#: one chip, on 4 chips / 2 channels, and on 2 planes per chip (open
+#: and closed loop).
 TIMED_RUNS = {
     "conventional/timed",
     "conventional/timed-multichip",
