@@ -314,7 +314,7 @@ def load_baseline(path: str) -> dict:
     """Load a previously-written report."""
     with open(path, encoding="utf-8") as handle:
         payload = json.load(handle)
-    if not isinstance(payload.get("cases"), dict):
+    if not isinstance(payload, dict) or not isinstance(payload.get("cases"), dict):
         raise ConfigError(f"{path} is not a repro perf report (no 'cases')")
     return payload
 

@@ -615,15 +615,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_perf(args: argparse.Namespace) -> int:
     try:
+        # Validate the baseline before the measurement, so a missing or
+        # corrupt file fails in milliseconds and writes no report.
+        baseline = load_baseline(args.baseline) if args.baseline else None
         scale = perf_scale(None if args.scale is None else args.scale == "smoke")
         report = run_perf(scale=scale, repeats=args.repeats)
         write_report(report, args.output)
         print(report.render())
         print(f"wrote {args.output}")
-        if args.baseline:
-            failures = compare_to_baseline(
-                report, load_baseline(args.baseline), tolerance=args.tolerance
-            )
+        if baseline is not None:
+            failures = compare_to_baseline(report, baseline, tolerance=args.tolerance)
             if failures:
                 for failure in failures:
                     print(f"perf regression: {failure}", file=sys.stderr)

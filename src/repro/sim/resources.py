@@ -1,9 +1,17 @@
 """FCFS resources for the DES kernel.
 
-:class:`Resource` models a unit (or pool) that processes must hold
-while using — the SSD front end uses one per chip (array busy), one per
-channel (bus transfers) and optionally one counted pool for the host
-queue depth when replaying with queueing.
+:class:`Resource` models a unit (or pool) that a task must hold while
+using it.  The timed SSD replay holds one per plane (array busy: sense
+or program plus the data transfer), one per chip die port on multi-plane
+devices and one per channel bus (both held only while data moves), and,
+for an open-loop replay with a host queue depth, one counted pool of
+host queue slots.
+
+A request is granted at once when a unit is free: the grant event is
+already triggered and sits on the engine's ready queue, so the waiter
+resumes later in the same instant, in calendar order.  Otherwise the
+requester queues, and :meth:`Resource.release` hands the unit straight
+to the oldest waiter.
 
 Each resource keeps the accounting the queueing reports need: grant
 count, total time spent waiting in its queue, and the busy-time
@@ -22,6 +30,17 @@ from repro.sim.engine import Engine, Event, SimulationError
 class Resource:
     """A counted resource with first-come-first-served queueing."""
 
+    __slots__ = (
+        "engine",
+        "capacity",
+        "in_use",
+        "_waiters",
+        "grants",
+        "wait_us",
+        "busy_us",
+        "_last_change",
+    )
+
     def __init__(self, engine: Engine, capacity: int = 1) -> None:
         if capacity < 1:
             raise SimulationError(f"capacity must be >= 1, got {capacity}")
@@ -37,28 +56,32 @@ class Resource:
         self.busy_us = 0.0
         self._last_change = engine.now
 
-    def _accrue(self) -> None:
-        """Fold the elapsed interval into the busy-time integral."""
-        now = self.engine.now
-        if self.in_use:
-            self.busy_us += self.in_use * (now - self._last_change)
-        self._last_change = now
-
     def request(self) -> Event:
-        """An event that triggers when the resource is granted."""
-        event = self.engine.event()
-        if self.in_use < self.capacity:
-            self._accrue()
-            self.in_use += 1
+        """An event that triggers when the resource is granted.
+
+        On an immediate grant the returned event is already triggered.
+        """
+        engine = self.engine
+        event = Event(engine)
+        in_use = self.in_use
+        if in_use < self.capacity:
+            now = engine.now
+            if in_use:
+                self.busy_us += in_use * (now - self._last_change)
+            self._last_change = now
+            self.in_use = in_use + 1
             self.grants += 1
-            event.succeed()
+            # What ``event.succeed()`` does, without the call.
+            event.triggered = True
+            engine._ready.append(event)
         else:
-            self._waiters.append((event, self.engine.now))
+            self._waiters.append((event, engine.now))
         return event
 
     def release(self) -> None:
         """Return one unit; wakes the oldest waiter if any."""
-        if self.in_use <= 0:
+        in_use = self.in_use
+        if in_use <= 0:
             raise SimulationError("release without a matching request")
         if self._waiters:
             # Hand the unit straight over: in_use stays constant, so the
@@ -68,8 +91,10 @@ class Resource:
             self.grants += 1
             event.succeed()
         else:
-            self._accrue()
-            self.in_use -= 1
+            now = self.engine.now
+            self.busy_us += in_use * (now - self._last_change)
+            self._last_change = now
+            self.in_use = in_use - 1
 
     @property
     def queue_length(self) -> int:

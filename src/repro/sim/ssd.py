@@ -58,7 +58,7 @@ from typing import Callable, Generator, Iterator, Protocol
 
 from repro.errors import ConfigError
 from repro.sim.arrival import ArrivalSpec
-from repro.sim.engine import Engine, Event
+from repro.sim.engine import Engine, Event, Timeout
 from repro.sim.resources import Resource
 from repro.traces.record import IORequest, OpType, Trace
 
@@ -204,6 +204,82 @@ def _percentiles(times: list[float]) -> dict[str, float]:
         "p95_us": _quantile(ordered, 0.95),
         "p99_us": _quantile(ordered, 0.99),
     }
+
+
+#: The timed overlay's per-request entry point: ``(request, arrival_us,
+#: then)`` starts the request this instant and returns its completion
+#: event; ``then`` runs just before completion.
+Dispatch = Callable[[IORequest, float, Callable[[], None] | None], Event]
+
+
+class _PlaneVisit(Event):
+    """One request's visit to one plane, as a callback state machine.
+
+    The visit is the event that triggers when it is done.  Its steps are
+    ``start -> plane granted -> [die port granted] -> bus granted ->
+    transfer timeout -> array timeout -> done``; each arrow waits for
+    one calendar entry.  The die port (multi-plane devices only) and the
+    bus are held for the transfer, the plane for transfer plus array
+    time; a zero transfer skips port and bus, a zero array time skips
+    its timeout.
+    """
+
+    __slots__ = ("plane", "port", "bus", "transfer_us", "array_us")
+
+    def __init__(
+        self,
+        engine: Engine,
+        plane: Resource,
+        port: Resource | None,
+        bus: Resource,
+        transfer_us: float,
+        array_us: float,
+    ) -> None:
+        super().__init__(engine)
+        self.plane = plane
+        self.port = port
+        self.bus = bus
+        self.transfer_us = transfer_us
+        self.array_us = array_us
+        start = Event(engine)
+        start.callbacks.append(self._start)
+        start.succeed()
+
+    def _start(self, _: Event) -> None:
+        self.plane.request().callbacks.append(self._plane_granted)
+
+    def _plane_granted(self, _: Event) -> None:
+        if self.transfer_us > 0.0:
+            port = self.port
+            if port is not None:
+                port.request().callbacks.append(self._port_granted)
+            else:
+                self.bus.request().callbacks.append(self._bus_granted)
+        else:
+            self._array()
+
+    def _port_granted(self, _: Event) -> None:
+        self.bus.request().callbacks.append(self._bus_granted)
+
+    def _bus_granted(self, _: Event) -> None:
+        Timeout(self.engine, self.transfer_us).callbacks.append(self._transferred)
+
+    def _transferred(self, _: Event) -> None:
+        self.bus.release()
+        port = self.port
+        if port is not None:
+            port.release()
+        self._array()
+
+    def _array(self) -> None:
+        if self.array_us > 0.0:
+            Timeout(self.engine, self.array_us).callbacks.append(self._done)
+        else:
+            self._done(self)
+
+    def _done(self, _: Event) -> None:
+        self.plane.release()
+        self.succeed()
 
 
 class SSD:
@@ -407,14 +483,14 @@ class SSD:
         trace: Trace,
         arrival_scale: float,
         slots: Resource | None,
-        dispatch: Callable[[IORequest, float], Generator[Event, None, None]],
+        dispatch: Dispatch,
     ) -> Generator[Event, None, None]:
         """The open-loop arrival process of the timed overlay.
 
         Walks the trace at its (scaled) timestamps, waits for a host
         queue slot when one is configured, and hands each request — with
         its arrival time, captured *before* any admission wait — to
-        ``dispatch``, the overlay's per-request coroutine.
+        ``dispatch``, the overlay's per-request state machine.
         """
         previous = 0.0
         for request in trace:
@@ -427,14 +503,14 @@ class SSD:
             arrival = engine.now
             if slots is not None:
                 yield slots.request()
-            engine.process(dispatch(request, arrival))
+            dispatch(request, arrival, None)
 
     def _closed_admit(
         self,
         engine: Engine,
         trace: Trace,
         queue_depth: int,
-        dispatch: Callable[[IORequest, float], Generator[Event, None, None]],
+        dispatch: Dispatch,
     ) -> None:
         """Seed a closed-loop population of ``queue_depth`` requests.
 
@@ -445,17 +521,16 @@ class SSD:
         """
         iterator: Iterator[IORequest] = iter(trace)
 
-        def run_one(request: IORequest) -> Generator[Event, None, None]:
-            yield from dispatch(request, engine.now)
+        def admit_next() -> None:
             successor = next(iterator, None)
             if successor is not None:
-                engine.process(run_one(successor))
+                dispatch(successor, engine.now, admit_next)
 
         for _ in range(queue_depth):
             request = next(iterator, None)
             if request is None:
                 break
-            engine.process(run_one(request))
+            dispatch(request, engine.now, admit_next)
 
     def _drive(
         self,
@@ -463,15 +538,13 @@ class SSD:
         trace: Trace,
         arrival: ArrivalSpec,
         slots: Resource | None,
-        dispatch: Callable[[IORequest, float], Generator[Event, None, None]],
+        dispatch: Dispatch,
     ) -> None:
         """Start the configured arrival process and run it to completion."""
         if arrival.is_closed:
             self._closed_admit(engine, trace, arrival.queue_depth, dispatch)
         else:
-            engine.process(
-                self._timed_source(engine, trace, arrival.scale, slots, dispatch)
-            )
+            engine.process(self._timed_source(engine, trace, arrival.scale, slots, dispatch))
         engine.run()
 
     def _account_timed(
@@ -557,40 +630,56 @@ class SSD:
             else None
         )
 
-        def unit_visit(
-            unit_index: int, transfer_us: float, array_us: float
-        ) -> Generator[Event, None, None]:
-            unit = units[unit_index]
-            yield unit.request()
-            if transfer_us > 0.0:
-                port = unit_port[unit_index]
-                if port is not None:
-                    yield port.request()
-                bus = unit_bus[unit_index]
-                yield bus.request()
-                yield engine.timeout(transfer_us)
-                bus.release()
-                if port is not None:
-                    port.release()
-            if array_us > 0.0:
-                yield engine.timeout(array_us)
-            unit.release()
+        def dispatch(
+            request: IORequest, arrival_us: float, then: Callable[[], None] | None
+        ) -> Event:
+            """Start one request this instant; returns its completion event.
 
-        def one_request(
-            request: IORequest, arrival_us: float
-        ) -> Generator[Event, None, None]:
-            latency, per_unit = self._service_profiled_planes(request, planes_per_chip)
-            if per_unit:
-                visits = [
-                    engine.process(unit_visit(unit, transfer_us, array_us))
-                    for unit, (transfer_us, array_us) in per_unit.items()
-                ]
-                yield engine.all_of(visits)
-            if slots is not None:
-                slots.release()
-            self._account_timed(result, request, latency, engine.now - arrival_us)
+            The request is a callback state machine: a start entry
+            services it and fans out one :class:`_PlaneVisit` per touched
+            plane, the last visit to finish queues a join entry, and the
+            join entry releases the host queue slot, accounts the
+            response, runs ``then`` (the closed loop's next admission)
+            and completes the request.
+            """
+            done = Event(engine)
+            latency = 0.0
+            pending = 0
 
-        self._drive(engine, trace, arrival, slots, one_request)
+            def serve(started: Event) -> None:
+                nonlocal latency, pending
+                latency, per_unit = self._service_profiled_planes(request, planes_per_chip)
+                if not per_unit:
+                    finish(started)
+                    return
+                pending = len(per_unit)
+                for unit, (transfer_us, array_us) in per_unit.items():
+                    _PlaneVisit(
+                        engine, units[unit], unit_port[unit], unit_bus[unit], transfer_us, array_us
+                    ).callbacks.append(visit_done)
+
+            def visit_done(_: Event) -> None:
+                nonlocal pending
+                pending -= 1
+                if pending == 0:
+                    joined = Event(engine)
+                    joined.callbacks.append(finish)
+                    joined.succeed()
+
+            def finish(_: Event) -> None:
+                if slots is not None:
+                    slots.release()
+                self._account_timed(result, request, latency, engine.now - arrival_us)
+                if then is not None:
+                    then()
+                done.succeed()
+
+            start = Event(engine)
+            start.callbacks.append(serve)
+            start.succeed()
+            return done
+
+        self._drive(engine, trace, arrival, slots, dispatch)
         makespan = engine.now
         result.simulated_us = makespan
         self._finalize(result)  # rebuilds result.extra from the FTL stats

@@ -9,6 +9,7 @@ from repro.errors import ConfigError
 from repro.nand.spec import sim_spec
 from repro.reliability.manager import ReliabilityConfig
 from repro.scenario.spec import ScenarioSpec
+from repro.sim.arrival import ArrivalSpec
 
 
 class TestValidation:
@@ -126,6 +127,6 @@ class TestTimedKnobs:
             ScenarioSpec(arrival_scale=value)
 
     def test_describe_shows_queueing_knobs_in_timed_mode(self):
-        spec = ScenarioSpec(mode="timed", arrival_scale=16.0, queue_depth=64)
+        spec = ScenarioSpec(mode="timed", arrival=ArrivalSpec(queue_depth=64, scale=16.0))
         assert "timed(x16, qd=64)" in spec.describe()
-        assert "timed" not in ScenarioSpec(arrival_scale=16.0).describe()
+        assert "timed" not in ScenarioSpec(arrival=ArrivalSpec(scale=16.0)).describe()

@@ -149,3 +149,67 @@ class TestAccounting:
     def test_utilization_zero_before_time_passes(self):
         engine = Engine()
         assert Resource(engine).utilization() == 0.0
+
+
+class TestMixedGrants:
+    """A capacity-2 resource with two immediate and two queued grants.
+
+    A holds [0, 4) and B [0, 6) at once.  C asks at 1 and gets A's unit
+    at 4; D asks at 2 and gets B's unit at 6 (B's timeout was scheduled
+    first, so B releases before C does at the same instant).
+    """
+
+    def _run(self):
+        engine = Engine()
+        resource = Resource(engine, capacity=2)
+        grants = {}
+        triggered = {}
+
+        def worker(name, arrive, hold):
+            yield engine.timeout(arrive)
+            request = resource.request()
+            triggered[name] = request.triggered
+            yield request
+            grants[name] = engine.now
+            yield engine.timeout(hold)
+            resource.release()
+
+        plan = (("A", 0.0, 4.0), ("B", 0.0, 6.0), ("C", 1.0, 2.0), ("D", 2.0, 1.0))
+        for name, arrive, hold in plan:
+            engine.process(worker(name, arrive, hold))
+        engine.run()
+        return engine, resource, grants, triggered
+
+    def test_grant_times(self):
+        _, _, grants, _ = self._run()
+        assert grants == {"A": 0.0, "B": 0.0, "C": 4.0, "D": 6.0}
+
+    def test_accounting_matches_hand_computed_values(self):
+        engine, resource, _, _ = self._run()
+        assert engine.now == 7.0
+        assert resource.grants == 4
+        # C waited 4 - 1, D waited 6 - 2.
+        assert resource.wait_us == 7.0
+        # Two units busy over [0, 6), one over [6, 7).
+        assert resource.busy_us == 2 * 6.0 + 1 * 1.0
+        assert resource.in_use == 0
+        assert resource.utilization() == 13.0 / 14.0
+        assert resource.utilization(10.0) == 13.0 / 20.0
+
+    def test_immediate_grants_return_triggered_events(self):
+        _, _, _, triggered = self._run()
+        assert triggered == {"A": True, "B": True, "C": False, "D": False}
+
+    def test_queued_grant_triggers_on_release(self):
+        engine = Engine()
+        resource = Resource(engine, capacity=1)
+        held = resource.request()
+        queued = resource.request()
+        assert held.triggered
+        assert not queued.triggered
+        assert resource.queue_length == 1
+        resource.release()
+        assert queued.triggered
+        assert resource.queue_length == 0
+        engine.run()
+        assert held.dispatched and queued.dispatched

@@ -171,6 +171,13 @@ class TestBaselineGate:
         with pytest.raises(ConfigError):
             load_baseline(str(path))
 
+    @pytest.mark.parametrize("text", ["[1, 2]", '"cases"', "null"])
+    def test_load_baseline_rejects_non_object_json(self, tmp_path, text):
+        path = tmp_path / "junk.json"
+        path.write_text(text)
+        with pytest.raises(ConfigError):
+            load_baseline(str(path))
+
 
 class TestParallelRunner:
     def test_workers_validated(self):
@@ -265,6 +272,8 @@ class TestPerfCli:
             )
             == 2
         )
+        # The baseline is checked before measuring: no report is written.
+        assert not (tmp_path / "r.json").exists()
 
     def test_cli_missing_baseline_errors(self, tmp_path):
         assert (
@@ -283,3 +292,4 @@ class TestPerfCli:
             )
             == 2
         )
+        assert not (tmp_path / "r.json").exists()
