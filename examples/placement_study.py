@@ -14,12 +14,17 @@ hammers hardest.  This study walks the trade-off with numbers:
 Run:  python examples/placement_study.py
 """
 
-from repro.bench.placement import PlacementSweepSpec, run_placement_sweep
+from repro.bench.placement import (
+    PlacementSweepSpec,
+    default_placement_reliability,
+    run_placement_sweep,
+)
 from repro.core.placement import ReliabilityAwarePlacement
 from repro.nand.device import NandDevice
 from repro.nand.spec import sim_spec
 from repro.reliability.manager import ReliabilityConfig, ReliabilityManager
 from repro.reliability.retention import SECONDS_PER_HOUR
+from repro.scenario.spec import ScenarioSpec
 
 
 def show_utility_decision() -> None:
@@ -59,8 +64,11 @@ def show_frontier() -> None:
         speed_ratios=(2.0,),
         skews=(0.95,),
         weights=(0.0, 2.0, 8.0),
-        num_requests=4_000,
-        blocks_per_chip=64,
+        base=ScenarioSpec(
+            num_requests=4_000,
+            device=sim_spec(blocks_per_chip=64),
+            reliability=default_placement_reliability(),
+        ),
     )
     print()
     print(run_placement_sweep(sweep).render())

@@ -20,8 +20,10 @@ from repro.analysis.tables import ascii_table
 from repro.bench.reliability import ReliabilitySweepSpec, run_reliability_sweep
 from repro.nand.spec import sim_spec
 from repro.reliability.ecc import EccModel
+from repro.reliability.manager import ReliabilityConfig
 from repro.reliability.retention import SECONDS_PER_HOUR, RetentionModel
 from repro.reliability.variation import VariationModel
+from repro.scenario.spec import ScenarioSpec
 
 
 def show_layer_variation() -> None:
@@ -70,9 +72,13 @@ def show_retry_staircase() -> None:
 def show_sweep() -> None:
     print()
     report = run_reliability_sweep(ReliabilitySweepSpec(
-        num_requests=5_000,
         speed_ratios=(4.0,),
         ages_hours=(0.0, 24.0, 720.0),
+        base=ScenarioSpec(
+            num_requests=5_000,
+            device=sim_spec(blocks_per_chip=96),
+            reliability=ReliabilityConfig(),
+        ),
     ))
     print(report.render())
 

@@ -13,9 +13,7 @@ total, so two requests collide exactly when they describe the same
 simulation.  :class:`ReplayRunner` executes specs on demand, caches
 traces by :meth:`ScenarioSpec.trace_key` and results by the full spec,
 and counts hits and misses so the scenarios can *prove* no identical
-replay ran twice.  :class:`ReplaySpec` survives as a thin compatibility
-shim that converts itself to a ``ScenarioSpec`` (older call sites and
-pickled sweep code constructed it directly).
+replay ran twice.
 
 Parallel execution
 ------------------
@@ -43,108 +41,17 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable
 
-from repro.core.config import PPBConfig
 from repro.errors import ConfigError
-from repro.nand.spec import NandSpec, sim_spec
-from repro.reliability.manager import ReliabilityConfig
 from repro.scenario.run import build_trace, execute_scenario
 from repro.scenario.spec import ScenarioSpec
 from repro.sim.ssd import RunResult
 from repro.traces.record import Trace
-from repro.traces.workloads import WORKLOADS
 
 
-@dataclass(frozen=True)
-class ReplaySpec:
-    """One fully-specified, hashable trace replay (**deprecated** shim).
-
-    Predates :class:`~repro.scenario.spec.ScenarioSpec`, which is now
-    the canonical experiment description and cache key;
-    :meth:`to_scenario` performs the lossless conversion and every
-    :class:`ReplayRunner` entry point accepts either type.
-    Constructing one emits a :class:`DeprecationWarning` that spells
-    out the equivalent ``ScenarioSpec``.
-    """
-
-    workload: str = "web-sql"
-    num_requests: int = 8_000
-    blocks_per_chip: int = 96
-    page_size: int = 16 * 1024
-    speed_ratio: float = 2.0
-    latency_profile: str = "linear"
-    footprint_fraction: float = 0.80
-    seed: int = 42
-    ftl: str = "conventional"
-    #: extra generator kwargs as a sorted item tuple (hashable), e.g.
-    #: ``(("zipf_theta", 1.1),)`` for the hotness-skew axis.
-    workload_kwargs: tuple[tuple[str, float], ...] = ()
-    ppb: PPBConfig | None = None
-    reliability: ReliabilityConfig | None = None
-    refresh: bool = False
-    retention_age_s: float = 0.0
-    #: shelf-age-then-re-read phase (see ``execute_scenario``).
-    reread_age_s: float = 0.0
-
-    def __post_init__(self) -> None:
-        import warnings
-
-        from repro.scenario.spec import spec_snippet
-
-        if self.workload not in WORKLOADS:
-            raise ConfigError(
-                f"unknown workload {self.workload!r}; choose from {sorted(WORKLOADS)}"
-            )
-        warnings.warn(
-            "ReplaySpec is deprecated; build the equivalent ScenarioSpec "
-            f"instead:\n    {spec_snippet(self.to_scenario())}",
-            DeprecationWarning,
-            stacklevel=3,  # through the generated dataclass __init__
-        )
-
-    def device_spec(self) -> NandSpec:
-        """The device this replay runs on."""
-        return sim_spec(
-            page_size=self.page_size,
-            speed_ratio=self.speed_ratio,
-            latency_profile=self.latency_profile,
-            blocks_per_chip=self.blocks_per_chip,
-        )
-
-    def to_scenario(self) -> ScenarioSpec:
-        """The canonical :class:`ScenarioSpec` this shim describes."""
-        return ScenarioSpec(
-            workload=self.workload,
-            num_requests=self.num_requests,
-            workload_kwargs=self.workload_kwargs,
-            footprint_fraction=self.footprint_fraction,
-            seed=self.seed,
-            device=self.device_spec(),
-            ftl=self.ftl,
-            ppb=self.ppb,
-            reliability=self.reliability,
-            refresh=self.refresh,
-            retention_age_s=self.retention_age_s,
-            reread_age_s=self.reread_age_s,
-        )
-
-    def trace_key(self) -> tuple:
-        """What the replayed trace depends on (see ``ScenarioSpec.trace_key``)."""
-        return self.to_scenario().trace_key()
-
-    def with_(self, **changes: object) -> "ReplaySpec":
-        """A modified copy (convenience for sweeps)."""
-        import dataclasses
-
-        return dataclasses.replace(self, **changes)  # type: ignore[arg-type]
-
-
-def _as_scenario(spec: ScenarioSpec | ReplaySpec) -> ScenarioSpec:
-    if isinstance(spec, ReplaySpec):
-        return spec.to_scenario()
+def _require_scenario(spec: ScenarioSpec) -> ScenarioSpec:
+    """The spec itself; anything else is a :class:`ConfigError`."""
     if not isinstance(spec, ScenarioSpec):
-        raise ConfigError(
-            f"expected a ScenarioSpec (or legacy ReplaySpec), got {type(spec).__name__}"
-        )
+        raise ConfigError(f"expected a ScenarioSpec, got {type(spec).__name__}")
     return spec
 
 
@@ -224,21 +131,21 @@ class ReplayRunner:
 
     # -- execution -----------------------------------------------------
 
-    def trace_for(self, spec: ScenarioSpec | ReplaySpec) -> Trace:
+    def trace_for(self, spec: ScenarioSpec) -> Trace:
         """The (cached) trace a spec replays."""
-        spec = _as_scenario(spec)
+        spec = _require_scenario(spec)
         key = spec.trace_key()
         if key not in self._traces:
             self._traces[key] = build_trace(spec)
             self.stats.trace_builds += 1
         return self._traces[key]
 
-    def run(self, spec: ScenarioSpec | ReplaySpec) -> RunResult:
+    def run(self, spec: ScenarioSpec) -> RunResult:
         """Run (or fetch) one replay.
 
         Cached results are shared objects: treat them as read-only.
         """
-        spec = _as_scenario(spec)
+        spec = _require_scenario(spec)
         if spec in self._results:
             if spec in self._fresh:
                 # First fetch of a pool-executed result: the pool run
@@ -252,7 +159,7 @@ class ReplayRunner:
         self._results[spec] = result
         return result
 
-    def prefetch(self, specs: Iterable[ScenarioSpec | ReplaySpec]) -> None:
+    def prefetch(self, specs: Iterable[ScenarioSpec]) -> None:
         """Execute the uncached specs of a batch in the process pool.
 
         No-op with ``workers == 1`` (or when at most one spec is
@@ -267,7 +174,7 @@ class ReplayRunner:
         pending: list[ScenarioSpec] = []
         seen: set[ScenarioSpec] = set()
         for spec in specs:
-            spec = _as_scenario(spec)
+            spec = _require_scenario(spec)
             if spec not in self._results and spec not in seen:
                 seen.add(spec)
                 pending.append(spec)
@@ -292,9 +199,7 @@ class ReplayRunner:
                 self._fresh.add(spec)
                 self.stats.misses += 1
 
-    def run_many(
-        self, specs: Iterable[ScenarioSpec | ReplaySpec]
-    ) -> list[RunResult]:
+    def run_many(self, specs: Iterable[ScenarioSpec]) -> list[RunResult]:
         """Run (or fetch) a batch of specs; returns results in order.
 
         With ``workers > 1`` the uncached specs execute concurrently
@@ -302,6 +207,6 @@ class ReplayRunner:
         — and with ``workers == 1`` this is just ``[self.run(s) for s
         in specs]``.  Either way the memo stats come out the same.
         """
-        spec_list = [_as_scenario(spec) for spec in specs]
+        spec_list = [_require_scenario(spec) for spec in specs]
         self.prefetch(spec_list)
         return [self.run(spec) for spec in spec_list]

@@ -33,7 +33,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 
-from repro.bench.memo import ReplayRunner, ReplaySpec, _as_scenario
+from repro.bench.memo import ReplayRunner
 from repro.bench.placement import default_placement_reliability
 from repro.errors import ConfigError
 from repro.ftl.transmap import MappingConfig
@@ -80,10 +80,10 @@ SMOKE_PERF = PerfScale("perf-smoke", num_requests=6_000, blocks_per_chip=96)
 
 @dataclass(frozen=True)
 class PerfCase:
-    """One wall-clock-timed replay (legacy ReplaySpec accepted too)."""
+    """One wall-clock-timed replay."""
 
     name: str
-    spec: ScenarioSpec | ReplaySpec
+    spec: ScenarioSpec
 
 
 @dataclass
@@ -264,18 +264,17 @@ def measure_case(case: PerfCase, repeats: int = 2) -> PerfMeasurement:
     """Time one case; keeps the best (least-interfered) repeat."""
     if repeats < 1:
         raise ConfigError(f"repeats must be >= 1, got {repeats}")
-    scenario = _as_scenario(case.spec)
     runner = ReplayRunner()
-    trace = runner.trace_for(scenario)  # build outside the timed region
+    trace = runner.trace_for(case.spec)  # build outside the timed region
     best_wall = float("inf")
     pages = 0
     for _ in range(repeats):
         start = time.perf_counter()
-        result = execute_scenario(scenario, trace)
+        result = execute_scenario(case.spec, trace)
         wall = time.perf_counter() - start
         if wall < best_wall:
             best_wall = wall
-            pages = _pages_of(result, scenario)
+            pages = _pages_of(result, case.spec)
     return PerfMeasurement(
         name=case.name,
         wall_s=best_wall,

@@ -17,7 +17,7 @@ Weight 0 is pure-speed PPB; higher weights divert read-hot data off
 fast pages when their predicted RBER-at-horizon outweighs the speed
 gain.
 
-Each replay is two-phase (``replay_trace``'s ``reread_age_s``): the
+Each replay is two-phase (``ScenarioSpec.reread_age_s``): the
 *fresh* phase replays the trace on a fresh device — this is where the
 placement policy acts, and its mean read latency is the *speed* side of
 the frontier; then the device shelf-ages by ``retention_age_hours`` and
@@ -53,6 +53,7 @@ from repro.nand.spec import sim_spec
 from repro.reliability.manager import ReliabilityConfig
 from repro.reliability.retention import SECONDS_PER_HOUR
 from repro.scenario.spec import ScenarioSpec
+from repro.sim.ssd import RunResult
 
 #: workloads with a hotness-skew (Zipf theta) knob.
 SKEWABLE_WORKLOADS = ("media-server", "web-sql")
@@ -75,22 +76,30 @@ def default_placement_reliability() -> ReliabilityConfig:
     )
 
 
+def _default_base() -> ScenarioSpec:
+    """The scenario a default placement sweep varies."""
+    return ScenarioSpec(
+        device=sim_spec(blocks_per_chip=96), reliability=default_placement_reliability()
+    )
+
+
 @dataclass(frozen=True)
 class PlacementSweepSpec:
-    """Every knob of one placement sweep."""
+    """One placement sweep: its axes and horizon over a base scenario.
 
-    workload: str = "web-sql"
+    ``base`` fixes every knob the axes do not vary — workload, geometry,
+    seed — and its ``reliability`` is the stack every variant runs
+    under.  The sweep sets ``workload_kwargs`` (the Zipf theta),
+    ``device.speed_ratio``, ``ftl``, ``ppb``, ``refresh`` and
+    ``reread_age_s`` per replay.
+    """
+
     speed_ratios: tuple[float, ...] = DEFAULT_SPEED_RATIOS
     #: Zipf theta of the workload's popularity distributions — the
     #: hotness-skew axis (in (0, 1); higher = hotter head, colder tail).
     skews: tuple[float, ...] = DEFAULT_SKEWS
     #: reliability_weight values for the PPB variants (0 = pure speed).
     weights: tuple[float, ...] = DEFAULT_WEIGHTS
-    num_requests: int = 8_000
-    blocks_per_chip: int = 96
-    page_size: int = 16 * 1024
-    footprint_fraction: float = 0.80
-    seed: int = 42
     #: shelf age between the fresh replay and the aged re-read phase
     #: (one value — the reliability sweep owns the age *axis*).
     retention_age_hours: float = 720.0
@@ -100,13 +109,13 @@ class PlacementSweepSpec:
     #: per-block reads the policy assumes iron-hot blocks absorb (the
     #: hot-data disturb horizon).
     horizon_reads: int = 1_000
-    config: ReliabilityConfig = field(default_factory=default_placement_reliability)
+    base: ScenarioSpec = field(default_factory=_default_base)
 
     def __post_init__(self) -> None:
-        if self.workload not in SKEWABLE_WORKLOADS:
+        if self.base.workload not in SKEWABLE_WORKLOADS:
             raise ConfigError(
                 f"placement sweep needs a skewable workload; choose from "
-                f"{SKEWABLE_WORKLOADS}, got {self.workload!r}"
+                f"{SKEWABLE_WORKLOADS}, got {self.base.workload!r}"
             )
         if 0.0 not in self.weights:
             raise ConfigError(
@@ -118,6 +127,10 @@ class PlacementSweepSpec:
                 raise ConfigError(
                     f"skews must be Zipf thetas in (0, 1), got {skew}"
                 )
+        if self.base.reliability is None:
+            raise ConfigError(
+                "base.reliability must be set: it is the stack every variant runs under"
+            )
 
     @property
     def horizon_s(self) -> float:
@@ -162,76 +175,48 @@ class PlacementPoint:
         return (self.aged_read_us - self.fresh_read_us) / self.fresh_read_us
 
 
-def point_scenario(sweep: PlacementSweepSpec, ratio: float, skew: float) -> ScenarioSpec:
-    """Factory: the shared two-phase scenario of one (ratio, skew) point.
-
-    Each FTL variant is this spec plus dotted-path edits (``ftl``,
-    ``ppb.reliability_weight``) — the same grid a scenario file with
-    sweep axes expands to.
-    """
-    return ScenarioSpec(
-        workload=sweep.workload,
-        num_requests=sweep.num_requests,
-        footprint_fraction=sweep.footprint_fraction,
-        seed=sweep.seed,
-        workload_kwargs=(("zipf_theta", float(skew)),),
-        device=sim_spec(
-            page_size=sweep.page_size,
-            speed_ratio=ratio,
-            blocks_per_chip=sweep.blocks_per_chip,
-        ),
-        reliability=sweep.config,
-        refresh=True,
-        reread_age_s=sweep.retention_age_hours * SECONDS_PER_HOUR,
-    )
-
-
-def sweep_specs(sweep: PlacementSweepSpec) -> list[ScenarioSpec]:
-    """Every unique replay the sweep needs (the parallel prefetch set)."""
-    specs: list[ScenarioSpec] = []
-    for ratio in sweep.speed_ratios:
-        for skew in sweep.skews:
-            base = point_scenario(sweep, ratio, skew)
-            specs.append(base.with_(ftl="conventional"))
-            specs.append(base.with_(ftl="fast"))
-            for weight in sorted(sweep.weights):
-                specs.append(base.with_(ftl="ppb", ppb=_ppb_config(sweep, weight)))
-    return specs
-
-
 def run_placement_sweep(
     sweep: PlacementSweepSpec | None = None,
     runner: ReplayRunner | None = None,
 ) -> FigureReport:
     """Execute the sweep and package it as a figure-style report.
 
-    With ``runner.workers > 1`` the whole grid is prefetched through
-    the runner's process pool first; the measurement loop below then
-    reads every point from the memo.  Single-process runners execute
-    the loop exactly as before.
+    Every (ratio, skew) point shares one two-phase scenario; each FTL
+    variant is that scenario plus ``ftl`` / ``ppb`` edits — the grid a
+    scenario file with sweep axes expands to.  The speed-oblivious FTLs
+    do not depend on the weight, yet the request list asks for them at
+    every weight so the memo absorbs the repeats (and the report can
+    prove it).  With ``runner.workers > 1`` the grid runs in the
+    runner's process pool.
     """
     sweep = sweep or PlacementSweepSpec()
     runner = runner or ReplayRunner()
     replays_before = runner.stats.misses
     hits_before = runner.stats.hits
-    runner.prefetch(sweep_specs(sweep))
-    points: list[PlacementPoint] = []
+    # Per request, the (ratio, skew, variant, weight) of its report
+    # row, or None for a repeat requested only to exercise the memo.
+    rows: list[tuple[float, float, str, float | None] | None] = []
+    requests: list[ScenarioSpec] = []
     for ratio in sweep.speed_ratios:
         for skew in sweep.skews:
-            base = point_scenario(sweep, ratio, skew)
+            point = sweep.base.with_(
+                workload_kwargs=(("zipf_theta", float(skew)),),
+                device=sweep.base.device.replace(speed_ratio=ratio),
+                refresh=True,
+                reread_age_s=sweep.retention_age_hours * SECONDS_PER_HOUR,
+            )
             for weight in sorted(sweep.weights):
-                # The speed-oblivious FTLs do not depend on the weight;
-                # requesting them every iteration exercises the memo.
+                first = weight == min(sweep.weights)
                 for ftl in ("conventional", "fast"):
-                    if weight == min(sweep.weights):
-                        points.append(
-                            _measure(runner, base.with_(ftl=ftl), ratio, skew, ftl, None)
-                        )
-                    else:
-                        runner.run(base.with_(ftl=ftl))  # memo hit by design
-                ppb = base.with_(ftl="ppb", ppb=_ppb_config(sweep, weight))
+                    requests.append(point.with_(ftl=ftl))
+                    rows.append((ratio, skew, ftl, None) if first else None)
+                requests.append(point.with_(ftl="ppb", ppb=_ppb_config(sweep, weight)))
                 label = "ppb" if weight == 0 else f"ppb w={weight:g}"
-                points.append(_measure(runner, ppb, ratio, skew, label, weight))
+                rows.append((ratio, skew, label, weight))
+    results = runner.run_many(requests)
+    points = [
+        _measure(result, *row) for row, result in zip(rows, results) if row is not None
+    ]
     saved = runner.stats.hits - hits_before
     ran = runner.stats.misses - replays_before
     return _build_report(sweep, points, ran=ran, saved=saved)
@@ -250,14 +235,12 @@ def _ppb_config(sweep: PlacementSweepSpec, weight: float) -> PPBConfig:
 
 
 def _measure(
-    runner: ReplayRunner,
-    spec: ScenarioSpec,
+    result: RunResult,
     ratio: float,
     skew: float,
     variant: str,
     weight: float | None,
 ) -> PlacementPoint:
-    result = runner.run(spec)
     ftl = result.ftl  # type: ignore[attr-defined]
     rel = ftl.reliability.stats
     fast_fraction = (
@@ -293,8 +276,8 @@ def _build_report(
     report = FigureReport(
         figure_id="Placement",
         title=(
-            f"Reliability-aware placement frontier: {sweep.workload} "
-            f"({sweep.num_requests} reqs, {sweep.blocks_per_chip} blocks, "
+            f"Reliability-aware placement frontier: {sweep.base.workload} "
+            f"({sweep.base.num_requests} reqs, {sweep.base.device.blocks_per_chip} blocks, "
             f"age {sweep.retention_age_hours:.0f}h; "
             f"{ran} replays run, {saved} served from memo)"
         ),

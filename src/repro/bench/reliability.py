@@ -31,7 +31,6 @@ from repro.nand.spec import sim_spec
 from repro.reliability.manager import ReliabilityConfig
 from repro.reliability.retention import SECONDS_PER_HOUR
 from repro.scenario.spec import ScenarioSpec
-from repro.traces.workloads import WORKLOADS
 
 #: Default sweep axes: fresh, one day, one month, three months of
 #: retention; both ends of the paper's speed-difference range.
@@ -39,20 +38,31 @@ DEFAULT_AGES_HOURS = (0.0, 24.0, 720.0, 2160.0)
 DEFAULT_SPEED_RATIOS = (2.0, 4.0)
 
 
+def _default_base() -> ScenarioSpec:
+    """The scenario a default reliability sweep varies."""
+    return ScenarioSpec(device=sim_spec(blocks_per_chip=96), reliability=ReliabilityConfig())
+
+
 @dataclass(frozen=True)
 class ReliabilitySweepSpec:
-    """Every knob of one reliability sweep."""
+    """One reliability sweep: two axes over a base scenario.
 
-    workload: str = "web-sql"
-    ftl: str = "conventional"
+    ``base`` fixes every knob the axes do not vary — workload, FTL,
+    geometry, seed — and its ``reliability`` is the stack the aged and
+    refreshed variants attach.  The sweep sets ``device.speed_ratio``,
+    ``reliability``, ``refresh`` and ``retention_age_s`` per replay.
+    """
+
     speed_ratios: tuple[float, ...] = DEFAULT_SPEED_RATIOS
     ages_hours: tuple[float, ...] = DEFAULT_AGES_HOURS
-    num_requests: int = 8_000
-    blocks_per_chip: int = 96
-    page_size: int = 16 * 1024
-    footprint_fraction: float = 0.80
-    seed: int = 42
-    config: ReliabilityConfig = field(default_factory=ReliabilityConfig)
+    base: ScenarioSpec = field(default_factory=_default_base)
+
+    def __post_init__(self) -> None:
+        if self.base.reliability is None:
+            raise ConfigError(
+                "base.reliability must be set: it is the stack the aged "
+                "and refreshed variants attach"
+            )
 
 
 @dataclass
@@ -93,44 +103,6 @@ class ReliabilityPoint:
         return min(1.0, (self.aged_read_us - self.refresh_read_us) / penalty)
 
 
-def baseline_scenario(sweep: ReliabilitySweepSpec, ratio: float) -> ScenarioSpec:
-    """Factory: the latency-only baseline scenario of one speed-ratio lane.
-
-    The whole sweep is this spec plus dotted-path edits (``reliability``,
-    ``refresh``, ``retention_age_s``) — the same grid a scenario file
-    with three sweep axes expands to.
-    """
-    return ScenarioSpec(
-        workload=sweep.workload,
-        num_requests=sweep.num_requests,
-        footprint_fraction=sweep.footprint_fraction,
-        seed=sweep.seed,
-        ftl=sweep.ftl,
-        device=sim_spec(
-            page_size=sweep.page_size,
-            speed_ratio=ratio,
-            blocks_per_chip=sweep.blocks_per_chip,
-        ),
-    )
-
-
-def sweep_specs(sweep: ReliabilitySweepSpec) -> list[ScenarioSpec]:
-    """Every unique replay the sweep needs (the parallel prefetch set)."""
-    specs: list[ScenarioSpec] = []
-    for ratio in sweep.speed_ratios:
-        base_spec = baseline_scenario(sweep, ratio)
-        specs.append(base_spec)
-        for age_hours in sweep.ages_hours:
-            age_s = age_hours * SECONDS_PER_HOUR
-            specs.append(base_spec.with_(reliability=sweep.config, retention_age_s=age_s))
-            specs.append(
-                base_spec.with_(
-                    reliability=sweep.config, refresh=True, retention_age_s=age_s
-                )
-            )
-    return specs
-
-
 def run_reliability_sweep(
     sweep: ReliabilitySweepSpec | None = None,
     runner: ReplayRunner | None = None,
@@ -139,51 +111,45 @@ def run_reliability_sweep(
 
     Each point replays three variants (latency-only baseline, stack
     without refresh, stack with refresh); the baseline does not depend
-    on retention age, so it is fetched from ``runner``'s memo for every
-    age after the first — pass a shared runner to extend that sharing
-    across sweeps.  With ``runner.workers > 1`` the whole grid is
-    prefetched through the runner's process pool first.
+    on retention age, so it is requested at every point and ``runner``'s
+    memo serves every repeat after the first — pass a shared runner to
+    extend that sharing across sweeps.  With ``runner.workers > 1`` the
+    grid runs in the runner's process pool.
     """
     sweep = sweep or ReliabilitySweepSpec()
-    if sweep.workload not in WORKLOADS:
-        raise ConfigError(
-            f"unknown workload {sweep.workload!r}; choose from {sorted(WORKLOADS)}"
-        )
     runner = runner or ReplayRunner()
-    runner.prefetch(sweep_specs(sweep))
-    points: list[ReliabilityPoint] = []
+    grid: list[tuple[float, float]] = []
+    requests: list[ScenarioSpec] = []
     for ratio in sweep.speed_ratios:
-        base_spec = baseline_scenario(sweep, ratio)
+        stack = sweep.base.with_(device=sweep.base.device.replace(speed_ratio=ratio))
+        baseline = stack.with_(reliability=None, refresh=False, retention_age_s=0.0)
         for age_hours in sweep.ages_hours:
-            age_s = age_hours * SECONDS_PER_HOUR
-            base = runner.run(base_spec)
-            aged = runner.run(
-                base_spec.with_(reliability=sweep.config, retention_age_s=age_s)
+            aged = stack.with_(refresh=False, retention_age_s=age_hours * SECONDS_PER_HOUR)
+            grid.append((ratio, age_hours))
+            requests += [baseline, aged, aged.with_(refresh=True)]
+    results = runner.run_many(requests)
+    points: list[ReliabilityPoint] = []
+    for i, (ratio, age_hours) in enumerate(grid):
+        base, aged, refreshed = results[3 * i : 3 * i + 3]
+        aged_stats = aged.ftl.reliability.stats  # type: ignore[attr-defined]
+        ref_stats = refreshed.ftl.reliability.stats  # type: ignore[attr-defined]
+        points.append(
+            ReliabilityPoint(
+                speed_ratio=ratio,
+                age_hours=age_hours,
+                base_read_us=base.mean_read_page_us,
+                aged_read_us=aged.mean_read_page_us,
+                refresh_read_us=refreshed.mean_read_page_us,
+                aged_retries_per_read=aged_stats.mean_retries_per_read,
+                refresh_retries_per_read=ref_stats.mean_retries_per_read,
+                uncorrectable_reads=aged_stats.uncorrectable_reads,
+                refreshed_blocks=ref_stats.refresh_runs,
+                refresh_copied_pages=ref_stats.refresh_copied_pages,
+                refresh_us=ref_stats.refresh_us,
+                base_erases=base.erase_count,
+                refresh_erases=refreshed.erase_count,
             )
-            refreshed = runner.run(
-                base_spec.with_(
-                    reliability=sweep.config, refresh=True, retention_age_s=age_s
-                )
-            )
-            aged_stats = aged.ftl.reliability.stats  # type: ignore[attr-defined]
-            ref_stats = refreshed.ftl.reliability.stats  # type: ignore[attr-defined]
-            points.append(
-                ReliabilityPoint(
-                    speed_ratio=ratio,
-                    age_hours=age_hours,
-                    base_read_us=base.mean_read_page_us,
-                    aged_read_us=aged.mean_read_page_us,
-                    refresh_read_us=refreshed.mean_read_page_us,
-                    aged_retries_per_read=aged_stats.mean_retries_per_read,
-                    refresh_retries_per_read=ref_stats.mean_retries_per_read,
-                    uncorrectable_reads=aged_stats.uncorrectable_reads,
-                    refreshed_blocks=ref_stats.refresh_runs,
-                    refresh_copied_pages=ref_stats.refresh_copied_pages,
-                    refresh_us=ref_stats.refresh_us,
-                    base_erases=base.erase_count,
-                    refresh_erases=refreshed.erase_count,
-                )
-            )
+        )
     return _build_report(sweep, points)
 
 
@@ -200,11 +166,12 @@ def _age_label(age_hours: float) -> str:
 def _build_report(
     sweep: ReliabilitySweepSpec, points: list[ReliabilityPoint]
 ) -> FigureReport:
+    base = sweep.base
     report = FigureReport(
         figure_id="Reliability",
         title=(
-            f"Retention/variation sweep: {sweep.workload} on {sweep.ftl} "
-            f"({sweep.num_requests} reqs, {sweep.blocks_per_chip} blocks)"
+            f"Retention/variation sweep: {base.workload} on {base.ftl} "
+            f"({base.num_requests} reqs, {base.device.blocks_per_chip} blocks)"
         ),
         paper_claim=(
             "beyond the paper: the feature-size taper also drives a "

@@ -68,6 +68,7 @@ from repro.bench.placement import (
     DEFAULT_WEIGHTS,
     SKEWABLE_WORKLOADS,
     PlacementSweepSpec,
+    default_placement_reliability,
     run_placement_sweep,
 )
 from repro.bench.reliability import (
@@ -418,14 +419,16 @@ def _float_list(text: str) -> tuple[float, ...]:
 def _cmd_reliability(args: argparse.Namespace) -> int:
     try:
         sweep = ReliabilitySweepSpec(
-            workload=args.workload,
-            ftl=args.ftl,
             speed_ratios=tuple(args.speed_ratios),
             ages_hours=tuple(args.ages),
-            num_requests=args.requests,
-            blocks_per_chip=args.blocks,
-            seed=args.seed,
-            config=ReliabilityConfig(base_rber=args.base_rber),
+            base=ScenarioSpec(
+                workload=args.workload,
+                num_requests=args.requests,
+                seed=args.seed,
+                device=sim_spec(blocks_per_chip=args.blocks),
+                ftl=args.ftl,
+                reliability=ReliabilityConfig(base_rber=args.base_rber),
+            ),
         )
         with ReplayRunner(workers=args.workers) as runner:
             report = run_reliability_sweep(sweep, runner)
@@ -439,14 +442,17 @@ def _cmd_reliability(args: argparse.Namespace) -> int:
 def _cmd_placement(args: argparse.Namespace) -> int:
     try:
         sweep = PlacementSweepSpec(
-            workload=args.workload,
             speed_ratios=tuple(args.speed_ratios),
             skews=tuple(args.skews),
             weights=tuple(args.weights),
-            num_requests=args.requests,
-            blocks_per_chip=args.blocks,
             retention_age_hours=args.age,
-            seed=args.seed,
+            base=ScenarioSpec(
+                workload=args.workload,
+                num_requests=args.requests,
+                seed=args.seed,
+                device=sim_spec(blocks_per_chip=args.blocks),
+                reliability=default_placement_reliability(),
+            ),
         )
         with ReplayRunner(workers=args.workers) as runner:
             report = run_placement_sweep(sweep, runner)
@@ -661,8 +667,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 planes_per_chip=args.planes,
             ),
             ftl=args.ftl,
-            # replay_trace's historical default, kept so the command's
-            # output is unchanged by the migration off the shim.
+            # The command's historical warm fill, kept so its output
+            # stays unchanged (the spec default follows the footprint).
             warm_fill_fraction=0.9,
             mode=args.mode,
             arrival=ArrivalSpec(

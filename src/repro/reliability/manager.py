@@ -604,10 +604,15 @@ class ReliabilityManager:
             # retention_factor(a) <= 1 + fast_amp + slow_amp * log1p(a/slow_tau).
             log_budget = budget - retention.fast_amp
             if log_budget > 0.0 and retention.slow_amp > 0.0:
-                threshold = max(
-                    threshold,
-                    retention.slow_tau_s * math.expm1(log_budget / retention.slow_amp),
-                )
+                try:
+                    large_age = retention.slow_tau_s * math.expm1(
+                        log_budget / retention.slow_amp
+                    )
+                except OverflowError:
+                    # The bound exceeds the float range: no finite age
+                    # reaches the limit.
+                    large_age = math.inf
+                threshold = max(threshold, large_age)
             elif log_budget > 0.0:
                 # No slow-growth term: past the fast amplitude the
                 # factor can never reach the target.

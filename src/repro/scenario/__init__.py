@@ -39,7 +39,6 @@ from repro.scenario.spec import (
     PreconditionPhase,
     ScenarioSpec,
     TenantSpec,
-    spec_snippet,
 )
 from repro.scenario.sweep import (
     SweepAxis,
@@ -76,7 +75,6 @@ __all__ = [
     "spec_from_dict",
     "spec_from_json",
     "spec_from_toml",
-    "spec_snippet",
     "spec_to_dict",
     "spec_to_json",
     "spec_to_toml",

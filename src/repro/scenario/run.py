@@ -1,8 +1,7 @@
 """Scenario execution: build device + FTL + SSD, fill, age, replay.
 
-This is the one code path every experiment funnels through.  It used to
-live in :func:`repro.sim.replay.replay_trace`; that function is now a
-thin compatibility shim over :func:`execute_scenario`, and everything
+This is the one code path every experiment funnels through:
+:func:`execute_scenario` replays a prebuilt trace, and everything
 spec-driven — the memoized :class:`~repro.bench.memo.ReplayRunner`, the
 sweeps, the CLI — goes through :func:`run_scenario`, which adds trace
 construction and result memoization keyed on the

@@ -69,8 +69,10 @@ class ZipfianGenerator:
         self._zetan = float(np.sum(ranks ** -theta))
         self._zeta2 = 1.0 + 2.0 ** -theta if n >= 2 else self._zetan
         self._alpha = 1.0 / (1.0 - theta)
+        # _eta only serves ranks >= 2; with n <= 2 it is never read (and
+        # n == 2 makes zeta2 == zetan, a zero denominator).
         self._eta = (1.0 - (2.0 / n) ** (1.0 - theta)) / (1.0 - self._zeta2 / self._zetan) \
-            if n >= 2 else 1.0
+            if n > 2 else 1.0
 
     def next(self) -> int:
         """Sample one rank."""

@@ -53,7 +53,7 @@ def _assert_equal(path: str, expected, actual) -> None:
         assert expected == actual, f"{path}: {expected!r} != {actual!r}"
 
 
-#: capture() entries beyond the ReplaySpec matrix: the timed overlay on
+#: capture() entries beyond the golden_specs() matrix: the timed overlay on
 #: one chip, on 4 chips / 2 channels, and on 2 planes per chip (open
 #: and closed loop).
 TIMED_RUNS = {

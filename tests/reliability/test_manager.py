@@ -191,3 +191,21 @@ class TestRefreshAccounting:
         assert "VariationModel" in text
         assert "RetentionModel" in text
         assert "EccModel" in text
+
+
+class TestSafeDeadline:
+    def test_tiny_base_rber_never_overflows_the_deadline(self):
+        """At base_rber 1e-7 the large-age bound exceeds the float range;
+        the block is then safe forever, and no read ever retries."""
+        from repro.nand.spec import sim_spec
+        from repro.scenario.run import run_scenario
+        from repro.scenario.spec import ScenarioSpec
+
+        spec = ScenarioSpec(
+            num_requests=500,
+            device=sim_spec(blocks_per_chip=64),
+            reliability=ReliabilityConfig(base_rber=1e-7),
+        )
+        stats = run_scenario(spec).ftl.reliability.stats
+        assert stats.checked_reads > 0
+        assert stats.mean_retries_per_read == 0.0

@@ -151,11 +151,10 @@ class TestCommittedExamples:
 
     @pytest.mark.parametrize("value", ["0.0", "-2.5"])
     def test_non_positive_arrival_scale_rejected_with_dotted_path(self, value):
-        # Both the [arrival] section and the deprecated top-level shim
-        # report the canonical dotted path.
         with pytest.raises(ConfigError, match=r"arrival\.scale"):
             parse_scenario_file(
                 f'mode = "timed"\n[arrival]\nscale = {value}\n', fmt="toml"
             )
-        with pytest.raises(ConfigError, match=r"arrival\.scale"):
+        # The old top-level spelling is no field at all.
+        with pytest.raises(ConfigError, match="unknown scenario field 'arrival_scale'"):
             parse_scenario_file(f'mode = "timed"\narrival_scale = {value}\n', fmt="toml")

@@ -255,25 +255,16 @@ def test_closed_loop_and_planes_survive_roundtrip():
     assert spec_from_json(spec_to_json(spec)) == spec
 
 
-def test_legacy_queueing_knobs_fold_into_the_arrival_section():
-    """The deprecated top-level spellings canonicalize: the folded spec
-    serializes (and hashes) identically to the [arrival] spelling."""
-    with pytest.warns(DeprecationWarning, match=r"\[arrival\] section"):
-        legacy = ScenarioSpec(mode="timed", queue_depth=64, arrival_scale=16.0)
-    modern = ScenarioSpec(
-        mode="timed", arrival=ArrivalSpec(queue_depth=64, scale=16.0)
-    )
-    assert legacy == modern
-    assert spec_to_toml(legacy) == spec_to_toml(modern)
-    assert legacy.queue_depth == 0 and legacy.arrival_scale == 1.0
-
-
 # -- error reporting ---------------------------------------------------
 
 class TestBadInput:
     def test_unknown_top_level_key_names_itself(self):
         with pytest.raises(ConfigError, match="unknown scenario field 'worklod'"):
             spec_from_dict({"worklod": "web-sql"})
+        # The arrival knobs live only in the [arrival] section.
+        for key, value in (("queue_depth", 64), ("arrival_scale", 16.0)):
+            with pytest.raises(ConfigError, match=f"unknown scenario field '{key}'"):
+                spec_from_dict({"mode": "timed", key: value})
 
     def test_unknown_nested_key_names_the_dotted_path(self):
         with pytest.raises(ConfigError, match=r"reliability\.base_rberr"):

@@ -114,17 +114,19 @@ class TestConvenience:
 class TestTimedKnobs:
     def test_defaults_are_open_loop(self):
         spec = ScenarioSpec()
-        assert spec.queue_depth == 0
-        assert spec.arrival_scale == 1.0
+        assert spec.arrival is None
+        assert not spec.effective_arrival.is_closed
+        assert spec.effective_arrival.queue_depth == 0
+        assert spec.effective_arrival.scale == 1.0
 
     def test_negative_queue_depth_rejected(self):
         with pytest.raises(ConfigError, match="queue_depth"):
-            ScenarioSpec(queue_depth=-1)
+            ScenarioSpec(arrival=ArrivalSpec(queue_depth=-1))
 
     @pytest.mark.parametrize("value", [0.0, -1.0, float("nan")])
     def test_non_positive_arrival_scale_rejected(self, value):
         with pytest.raises(ConfigError, match=r"arrival\.scale"):
-            ScenarioSpec(arrival_scale=value)
+            ScenarioSpec(arrival=ArrivalSpec(scale=value))
 
     def test_describe_shows_queueing_knobs_in_timed_mode(self):
         spec = ScenarioSpec(mode="timed", arrival=ArrivalSpec(queue_depth=64, scale=16.0))

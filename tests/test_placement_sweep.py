@@ -6,6 +6,7 @@ from repro.bench.memo import ReplayRunner
 from repro.bench.placement import (
     PlacementPoint,
     PlacementSweepSpec,
+    default_placement_reliability,
     run_placement_sweep,
 )
 from repro.errors import ConfigError
@@ -14,12 +15,15 @@ from repro.scenario.spec import ScenarioSpec
 
 #: One tiny sweep shared by the whole module (the expensive part).
 SMOKE = PlacementSweepSpec(
-    workload="web-sql",
     speed_ratios=(2.0,),
     skews=(0.95,),
     weights=(0.0, 4.0),
-    num_requests=2_500,
-    blocks_per_chip=64,
+    base=ScenarioSpec(
+        workload="web-sql",
+        num_requests=2_500,
+        device=sim_spec(blocks_per_chip=64),
+        reliability=default_placement_reliability(),
+    ),
 )
 
 #: variants at one sweep point: conventional, fast, ppb per weight.
@@ -98,8 +102,12 @@ class TestReplayRunner:
 
 class TestSweepValidation:
     def test_unskewable_workload_rejected(self):
-        with pytest.raises(ConfigError):
-            PlacementSweepSpec(workload="uniform")
+        with pytest.raises(ConfigError, match="skewable workload"):
+            PlacementSweepSpec(base=SMOKE.base.with_(workload="uniform"))
+
+    def test_base_must_carry_the_reliability_stack(self):
+        with pytest.raises(ConfigError, match=r"base\.reliability"):
+            PlacementSweepSpec(base=SMOKE.base.with_(reliability=None))
 
     def test_weights_must_include_zero(self):
         with pytest.raises(ConfigError):
@@ -143,15 +151,6 @@ class TestParallelSweep:
         assert parallel.rows == report.rows
         assert parallel.title == report.title
         assert parallel.all_checks_pass == report.all_checks_pass
-        # Every unique spec ran exactly once, in the pool.
-        from repro.bench.placement import sweep_specs
-
-        assert parallel_runner.stats.misses == len(set(sweep_specs(SMOKE)))
-
-    def test_sweep_specs_enumerates_the_grid(self):
-        from repro.bench.placement import sweep_specs
-
-        specs = sweep_specs(SMOKE)
+        # Every unique spec of the grid ran exactly once, in the pool.
         points = len(SMOKE.speed_ratios) * len(SMOKE.skews)
-        assert len(specs) == points * (2 + len(SMOKE.weights))
-        assert len(set(specs)) == len(specs)
+        assert parallel_runner.stats.misses == points * VARIANTS_PER_POINT

@@ -7,21 +7,33 @@ from repro.bench.reliability import (
     ReliabilitySweepSpec,
     run_reliability_sweep,
 )
+from repro.bench.memo import ReplayRunner
 from repro.errors import ConfigError
+from repro.nand.spec import sim_spec
+from repro.reliability.manager import ReliabilityConfig
+from repro.scenario.spec import ScenarioSpec
 
 #: One tiny sweep shared by the whole module (the expensive part).
 SMOKE = ReliabilitySweepSpec(
-    workload="web-sql",
     speed_ratios=(2.0,),
     ages_hours=(0.0, 720.0),
-    num_requests=1_500,
-    blocks_per_chip=64,
+    base=ScenarioSpec(
+        workload="web-sql",
+        num_requests=1_500,
+        device=sim_spec(blocks_per_chip=64),
+        reliability=ReliabilityConfig(),
+    ),
 )
 
 
 @pytest.fixture(scope="module")
-def report():
-    return run_reliability_sweep(SMOKE)
+def runner():
+    return ReplayRunner()
+
+
+@pytest.fixture(scope="module")
+def report(runner):
+    return run_reliability_sweep(SMOKE, runner)
 
 
 class TestSweepReport:
@@ -51,11 +63,21 @@ class TestSweepReport:
         assert "speed ratio x retention age" in text
         assert "30d" in text
 
+    def test_baseline_replays_once_per_speed_ratio(self, runner, report):
+        ratios, ages = len(SMOKE.speed_ratios), len(SMOKE.ages_hours)
+        # one baseline per ratio, two stack variants per (ratio, age)
+        assert runner.stats.misses == ratios * (1 + 2 * ages)
+        assert runner.stats.hits == ratios * (ages - 1)
+
 
 class TestSweepValidation:
     def test_unknown_workload_rejected(self):
-        with pytest.raises(ConfigError):
-            run_reliability_sweep(SMOKE.__class__(workload="nope"))
+        with pytest.raises(ConfigError, match="unknown workload"):
+            ReliabilitySweepSpec(base=SMOKE.base.with_(workload="nope"))
+
+    def test_base_must_carry_the_reliability_stack(self):
+        with pytest.raises(ConfigError, match=r"base\.reliability"):
+            ReliabilitySweepSpec(base=SMOKE.base.with_(reliability=None))
 
     def test_point_derived_metrics(self):
         point = ReliabilityPoint(

@@ -50,6 +50,24 @@ class TestZipfian:
         gen = ZipfianGenerator(1, 0.9, np.random.default_rng(0))
         assert all(gen.next() == 0 for _ in range(50))
 
+    def test_two_items(self):
+        gen = ZipfianGenerator(2, 0.9, np.random.default_rng(0))
+        assert set(gen.sample(2000).tolist()) == {0, 1}
+
+    def test_two_item_workload_replays(self):
+        """A footprint small enough to leave a Zipf over two items."""
+        from repro.nand.spec import sim_spec
+        from repro.scenario.run import run_scenario
+        from repro.scenario.spec import ScenarioSpec
+
+        spec = ScenarioSpec(
+            workload="media-server",
+            num_requests=200,
+            footprint_fraction=0.1,
+            device=sim_spec(blocks_per_chip=48),
+        )
+        assert run_scenario(spec).num_requests == 200
+
     @pytest.mark.parametrize("bad", [0, -5])
     def test_rejects_bad_n(self, bad):
         with pytest.raises(ConfigError):
