@@ -23,16 +23,16 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import replace
 
 import pytest
 
-from repro.bench.experiment import ExperimentRunner, SMOKE_SCALE
+from repro.bench.figures import SMOKE
+from repro.bench.memo import ReplayRunner
 
-#: The CI-smoke geometry: same block count as SMOKE_SCALE (the Fig. 18
-#: erase comparison needs it for fair over-provisioning), fewer
-#: requests.  Selected by REPRO_BENCH_SMOKE=1.
-CI_SMOKE_SCALE = replace(SMOKE_SCALE, name="ci-smoke", num_requests=28_000)
+#: The CI-smoke base: same block count as SMOKE (the Fig. 18 erase
+#: comparison needs it for fair over-provisioning), fewer requests.
+#: Selected by REPRO_BENCH_SMOKE=1.
+CI_SMOKE = SMOKE.with_(num_requests=28_000)
 
 #: Reports collected by :func:`report_and_check` this session.
 _COLLECTED: list[dict] = []
@@ -45,17 +45,17 @@ def pytest_collection_modifyitems(items):
 
 
 @pytest.fixture(scope="session")
-def runner() -> ExperimentRunner:
-    """One shared, memoizing experiment runner per benchmark session."""
-    return ExperimentRunner()
+def runner() -> ReplayRunner:
+    """One shared, memoizing replay runner per benchmark session."""
+    return ReplayRunner()
 
 
 @pytest.fixture(scope="session")
-def scale():
-    """The benchmark simulation scale."""
+def base():
+    """The base spec every benchmark derives its simulations from."""
     if os.environ.get("REPRO_BENCH_SMOKE"):
-        return CI_SMOKE_SCALE
-    return SMOKE_SCALE
+        return CI_SMOKE
+    return SMOKE
 
 
 def report_and_check(report, benchmark_output=True):

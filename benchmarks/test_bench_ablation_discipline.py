@@ -9,23 +9,25 @@ Two design-interpretation studies DESIGN.md calls out:
 """
 
 from repro.analysis.tables import ascii_table, format_pct
-from repro.bench.experiment import Cell
+from repro.bench.figures import compare
+from repro.core.config import PPBConfig
 
 
-def test_ablation_allocation_discipline(benchmark, runner, scale):
+def test_ablation_allocation_discipline(benchmark, runner, base):
     def run():
         out = {}
         for discipline in ("pipelined", "strict"):
-            cell = Cell(
-                workload="web-sql",
+            conv, ppb = compare(
+                runner,
+                base,
+                "web-sql",
+                PPBConfig(allocation_discipline=discipline),
                 speed_ratio=4.0,
-                allocation_discipline=discipline,
-                scale=scale,
             )
-            base, ppb = runner.compare(cell)
+            conv_read = conv.stats.host_read_us
             out[discipline] = (
-                (base.read_us - ppb.read_us) / base.read_us,
-                ppb.fast_read_fraction,
+                (conv_read - ppb.stats.host_read_us) / conv_read,
+                ppb.fast_page_read_fraction(),
             )
         return out
 
@@ -43,18 +45,13 @@ def test_ablation_allocation_discipline(benchmark, runner, scale):
     assert out["pipelined"][0] > out["strict"][0]
 
 
-def test_ablation_latency_profile(benchmark, runner, scale):
+def test_ablation_latency_profile(benchmark, runner, base):
     def run():
         rows = []
         for profile in ("linear", "geometric", "physical"):
-            cell = Cell(
-                workload="web-sql",
-                speed_ratio=4.0,
-                latency_profile=profile,
-                scale=scale,
-            )
-            base, ppb = runner.compare(cell)
-            gain = (base.read_us - ppb.read_us) / base.read_us
+            conv, ppb = compare(runner, base, "web-sql", speed_ratio=4.0, latency_profile=profile)
+            conv_read = conv.stats.host_read_us
+            gain = (conv_read - ppb.stats.host_read_us) / conv_read
             rows.append([profile, format_pct(gain)])
         return rows
 

@@ -6,23 +6,21 @@ case study.  This bench swaps in the two alternatives.
 """
 
 from repro.analysis.tables import ascii_table, format_pct
-from repro.bench.experiment import Cell
+from repro.bench.figures import compare
+from repro.core.config import PPBConfig
 
 
-def test_ablation_identifier(benchmark, runner, scale):
+def test_ablation_identifier(benchmark, runner, base):
     def run():
         rows = []
         for identifier in ("size_check", "two_level_lru", "multi_hash"):
-            cell = Cell(
-                workload="web-sql",
-                speed_ratio=4.0,
-                identifier=identifier,
-                scale=scale,
+            conv, ppb = compare(
+                runner, base, "web-sql", PPBConfig(identifier=identifier), speed_ratio=4.0
             )
-            base, ppb = runner.compare(cell)
-            gain = (base.read_us - ppb.read_us) / base.read_us
+            conv_read = conv.stats.host_read_us
+            gain = (conv_read - ppb.stats.host_read_us) / conv_read
             rows.append([identifier, format_pct(gain),
-                         f"{ppb.fast_read_fraction:.3f}"])
+                         f"{ppb.fast_page_read_fraction():.3f}"])
         return rows
 
     rows = benchmark.pedantic(run, rounds=1, iterations=1)

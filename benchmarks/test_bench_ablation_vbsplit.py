@@ -7,21 +7,21 @@ be balanced."  This bench sweeps the split factor.
 """
 
 from repro.analysis.tables import ascii_table, format_pct
-from repro.bench.experiment import Cell
+from repro.bench.figures import compare
+from repro.core.config import PPBConfig
 
 
-def test_ablation_vb_split(benchmark, runner, scale):
+def test_ablation_vb_split(benchmark, runner, base):
     def run():
         rows = []
         for split in (2, 3, 4):
-            cell = Cell(
-                workload="web-sql", speed_ratio=4.0, vb_split=split, scale=scale
-            )
-            base, ppb = runner.compare(cell)
-            gain = (base.read_us - ppb.read_us) / base.read_us
+            conv, ppb = compare(runner, base, "web-sql", PPBConfig(vb_split=split), speed_ratio=4.0)
+            conv_read = conv.stats.host_read_us
+            gain = (conv_read - ppb.stats.host_read_us) / conv_read
+            conv_erases = conv.stats.erase_count
             erase_delta = (
-                (ppb.erase_count - base.erase_count) / base.erase_count
-                if base.erase_count
+                (ppb.stats.erase_count - conv_erases) / conv_erases
+                if conv_erases
                 else 0.0
             )
             rows.append([f"{split}-way", format_pct(gain),

@@ -9,8 +9,8 @@ from conftest import report_and_check
 from repro.bench.figures import figure12
 
 
-def test_figure12_read_enhancement(benchmark, runner, scale):
+def test_figure12_read_enhancement(benchmark, runner, base):
     report = benchmark.pedantic(
-        figure12, args=(runner, scale), rounds=1, iterations=1
+        figure12, args=(runner, base), rounds=1, iterations=1
     )
     report_and_check(report)

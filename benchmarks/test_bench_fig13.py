@@ -9,8 +9,8 @@ from conftest import report_and_check
 from repro.bench.figures import figure13
 
 
-def test_figure13_media_read_latency(benchmark, runner, scale):
+def test_figure13_media_read_latency(benchmark, runner, base):
     report = benchmark.pedantic(
-        figure13, args=(runner, scale), rounds=1, iterations=1
+        figure13, args=(runner, base), rounds=1, iterations=1
     )
     report_and_check(report)

@@ -5,8 +5,8 @@ from conftest import report_and_check
 from repro.bench.figures import figure14
 
 
-def test_figure14_web_read_latency(benchmark, runner, scale):
+def test_figure14_web_read_latency(benchmark, runner, base):
     report = benchmark.pedantic(
-        figure14, args=(runner, scale), rounds=1, iterations=1
+        figure14, args=(runner, base), rounds=1, iterations=1
     )
     report_and_check(report)

@@ -10,8 +10,8 @@ from conftest import report_and_check
 from repro.bench.figures import figure15
 
 
-def test_figure15_write_enhancement(benchmark, runner, scale):
+def test_figure15_write_enhancement(benchmark, runner, base):
     report = benchmark.pedantic(
-        figure15, args=(runner, scale), rounds=1, iterations=1
+        figure15, args=(runner, base), rounds=1, iterations=1
     )
     report_and_check(report)

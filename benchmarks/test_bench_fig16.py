@@ -5,8 +5,8 @@ from conftest import report_and_check
 from repro.bench.figures import figure16
 
 
-def test_figure16_media_write_latency(benchmark, runner, scale):
+def test_figure16_media_write_latency(benchmark, runner, base):
     report = benchmark.pedantic(
-        figure16, args=(runner, scale), rounds=1, iterations=1
+        figure16, args=(runner, base), rounds=1, iterations=1
     )
     report_and_check(report)

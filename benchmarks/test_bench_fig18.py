@@ -10,8 +10,8 @@ from conftest import report_and_check
 from repro.bench.figures import figure18
 
 
-def test_figure18_erase_count(benchmark, runner, scale):
+def test_figure18_erase_count(benchmark, runner, base):
     report = benchmark.pedantic(
-        figure18, args=(runner, scale), rounds=1, iterations=1
+        figure18, args=(runner, base), rounds=1, iterations=1
     )
     report_and_check(report)

@@ -100,27 +100,19 @@ def quick_comparison(
     synthesizes an enterprise workload, replays it under both FTLs and
     reports the read enhancement the PPB strategy achieves.
     """
-    from repro.bench.experiment import BenchScale, Cell, ExperimentRunner, SMOKE_SCALE
+    from repro.bench.figures import SMOKE, compare
+    from repro.bench.memo import ReplayRunner
 
-    runner = ExperimentRunner()
-    cell = Cell(
-        workload=workload,
-        speed_ratio=speed_ratio,
-        seed=seed,
-        scale=BenchScale(
-            name="quick",
-            num_requests=num_requests,
-            blocks_per_chip=SMOKE_SCALE.blocks_per_chip,
-        ),
-    )
-    base, ppb = runner.compare(cell)
-    gain = (base.read_us - ppb.read_us) / base.read_us if base.read_us else 0.0
+    base = SMOKE.with_(num_requests=num_requests, seed=seed)
+    conv, ppb = compare(ReplayRunner(), base, workload, speed_ratio=speed_ratio)
+    conv_read, ppb_read = conv.stats.host_read_us, ppb.stats.host_read_us
+    gain = (conv_read - ppb_read) / conv_read if conv_read else 0.0
     lines = [
         f"workload       {workload} ({num_requests} requests, seed {seed})",
         f"speed ratio    {speed_ratio:.0f}x (slowest vs fastest page)",
-        f"conventional   read {base.read_seconds:.3f} s, erases {base.erase_count}",
-        f"ppb            read {ppb.read_seconds:.3f} s, erases {ppb.erase_count}",
+        f"conventional   read {conv_read / 1e6:.3f} s, erases {conv.stats.erase_count}",
+        f"ppb            read {ppb_read / 1e6:.3f} s, erases {ppb.stats.erase_count}",
         f"read gain      {gain * 100:.2f}%",
-        f"fast-half reads under PPB: {ppb.fast_read_fraction * 100:.1f}%",
+        f"fast-half reads under PPB: {ppb.fast_page_read_fraction() * 100:.1f}%",
     ]
     return "\n".join(lines)

@@ -1,28 +1,24 @@
 """Experiment harness regenerating every table and figure of the paper.
 
-:mod:`repro.bench.experiment` runs one (workload, device, FTL) cell and
-caches results so figures sharing cells (e.g. Figs. 13 and 16 use the
-same runs) pay once.  :mod:`repro.bench.figures` parameterizes the
-cells per paper artifact and renders paper-style reports.
-:mod:`repro.bench.memo` generalizes the memoization to arbitrary trace
-replays; the sweep scenarios (:mod:`repro.bench.reliability`,
-:mod:`repro.bench.placement`) build on it so their baselines never
-replay twice.
+:mod:`repro.bench.memo` runs :class:`~repro.scenario.spec.ScenarioSpec`\\ s
+and memoizes traces and results by spec, so replays shared between
+figures or sweep points (e.g. Figs. 13 and 16 use the same runs) pay
+once.  :mod:`repro.bench.figures` derives each paper artifact's specs
+from a base spec (:data:`~repro.bench.figures.FULL` or
+:data:`~repro.bench.figures.SMOKE`) and renders paper-style reports.
+The sweep scenarios (:mod:`repro.bench.reliability`,
+:mod:`repro.bench.placement`) run on the same runner so their baselines
+never replay twice.
 """
 
-from repro.bench.experiment import (
-    BenchScale,
-    Cell,
-    CellResult,
-    ExperimentRunner,
-    FULL_SCALE,
-    SMOKE_SCALE,
-)
 from repro.bench.memo import ReplayRunner
 from repro.bench.placement import PlacementSweepSpec, run_placement_sweep
 from repro.bench.reliability import ReliabilitySweepSpec, run_reliability_sweep
 from repro.bench.figures import (
+    FULL,
+    SMOKE,
     FigureReport,
+    compare,
     figure12,
     figure13,
     figure14,
@@ -34,18 +30,15 @@ from repro.bench.figures import (
 )
 
 __all__ = [
-    "BenchScale",
-    "Cell",
-    "CellResult",
-    "ExperimentRunner",
-    "FULL_SCALE",
-    "SMOKE_SCALE",
     "ReplayRunner",
     "PlacementSweepSpec",
     "run_placement_sweep",
     "ReliabilitySweepSpec",
     "run_reliability_sweep",
+    "FULL",
+    "SMOKE",
     "FigureReport",
+    "compare",
     "table1",
     "figure12",
     "figure13",

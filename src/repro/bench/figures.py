@@ -6,23 +6,44 @@ relative statements that must transfer from the paper even though our
 substrate is a scaled simulator (who wins, roughly by how much, where
 the crossovers are).  The pytest benches assert those checks; the CLI
 and EXPERIMENTS.md render the same reports.
+
+Every driver takes a :class:`~repro.bench.memo.ReplayRunner` and a
+*base* :class:`~repro.scenario.spec.ScenarioSpec` that fixes the scale
+(request count and device blocks); it derives each figure point from
+the base by workload, FTL and device knobs.  The runner's spec-keyed
+memo makes figures that share simulations pay for them once: Figs. 13
+and 16 are the read and write views of the same eight replays, Figs.
+14 and 17 likewise, and Fig. 18 reuses the 2x points of both.
+
+Scales
+------
+The paper simulates a 64 GB device over multi-day MSR traces; that is
+out of reach for pure Python, so figures run on proportionally scaled
+devices (same pages/block, latencies and over-provisioning — only the
+block count and request count shrink).  :data:`FULL` is the
+paper-figure scale (minutes per figure), :data:`SMOKE` is small enough
+for the benches (seconds per figure).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from typing import Any
 
 from repro.analysis.charts import ascii_series
 from repro.analysis.tables import ascii_table, format_pct
-from repro.bench.experiment import (
-    BenchScale,
-    Cell,
-    CellResult,
-    ExperimentRunner,
-    FULL_SCALE,
-)
+from repro.bench.memo import ReplayRunner
+from repro.core.config import PPBConfig
 from repro.nand.latency import LatencyModel
-from repro.nand.spec import table1_spec
+from repro.nand.spec import sim_spec, table1_spec
+from repro.scenario.spec import ScenarioSpec
+
+#: the paper-figure scale (minutes per figure).
+FULL = ScenarioSpec(num_requests=120_000, device=sim_spec(blocks_per_chip=256))
+#: small enough for the benches, but not so small that PPB's handful of
+#: held-open blocks distorts the effective over-provisioning (the erase
+#: comparison of Fig. 18 needs a reasonable block count to be fair).
+SMOKE = ScenarioSpec(num_requests=40_000, device=sim_spec(blocks_per_chip=160))
 
 #: The paper sweeps the page access speed difference from 2x to 5x.
 SPEED_SWEEP = (2.0, 3.0, 4.0, 5.0)
@@ -69,20 +90,31 @@ class FigureReport:
         return "\n".join(parts)
 
 
-def _scaled_for_page(scale: BenchScale, page_size: int) -> BenchScale:
-    """Keep device capacity constant across page sizes (Fig. 12/15)."""
-    factor = (16 * 1024) // page_size
-    return replace(
-        scale,
-        name=f"{scale.name}-{page_size // 1024}k",
-        blocks_per_chip=scale.blocks_per_chip * factor,
+def compare(
+    runner: ReplayRunner,
+    base: ScenarioSpec,
+    workload: str,
+    ppb: PPBConfig | None = None,
+    **device: Any,
+) -> tuple[Any, Any]:
+    """Replay ``workload`` on ``base``'s device, changed by ``device``,
+    under the conventional FTL and under PPB (``ppb``, default
+    :class:`PPBConfig`); returns the two finished FTLs in that order.
+    """
+    spec = base.with_(workload=workload, device=base.device.replace(**device))
+    conv, boosted = runner.run_many(
+        [
+            spec.with_(ftl="conventional", ppb=None),
+            spec.with_(ftl="ppb", ppb=ppb or PPBConfig()),
+        ]
     )
+    return conv.ftl, boosted.ftl  # type: ignore[attr-defined]
 
 
-def _gain(base: CellResult, ppb: CellResult, attr: str) -> float:
-    """Relative enhancement of PPB over the baseline on an attribute."""
-    base_value = getattr(base, attr)
-    ppb_value = getattr(ppb, attr)
+def _gain(conv: Any, ppb: Any, attr: str) -> float:
+    """Relative enhancement of PPB over the baseline on an FTL statistic."""
+    base_value = getattr(conv.stats, attr)
+    ppb_value = getattr(ppb.stats, attr)
     if base_value == 0:
         return 0.0
     return (base_value - ppb_value) / base_value
@@ -132,25 +164,27 @@ def table1() -> FigureReport:
 # ----------------------------------------------------------------------
 
 def _page_size_study(
-    runner: ExperimentRunner, scale: BenchScale, attr: str
-) -> list[tuple[str, int, float, CellResult, CellResult]]:
+    runner: ReplayRunner, base: ScenarioSpec, attr: str
+) -> list[tuple[str, int, float]]:
     out = []
     for trace in TRACES:
         for page_size in PAGE_SIZES:
-            cell = Cell(
-                workload=trace,
+            conv, ppb = compare(
+                runner,
+                base,
+                trace,
                 page_size=page_size,
                 speed_ratio=PAGE_SIZE_STUDY_SPEED,
-                scale=_scaled_for_page(scale, page_size),
+                # keep device capacity constant across page sizes
+                blocks_per_chip=base.device.blocks_per_chip * ((16 * 1024) // page_size),
             )
-            base, ppb = runner.compare(cell)
-            out.append((trace, page_size, _gain(base, ppb, attr), base, ppb))
+            out.append((trace, page_size, _gain(conv, ppb, attr)))
     return out
 
 
-def figure12(runner: ExperimentRunner, scale: BenchScale = FULL_SCALE) -> FigureReport:
+def figure12(runner: ReplayRunner, base: ScenarioSpec = FULL) -> FigureReport:
     """Fig. 12: read performance enhancement vs page size."""
-    study = _page_size_study(runner, scale, "read_us")
+    study = _page_size_study(runner, base, "host_read_us")
     report = FigureReport(
         figure_id="Figure 12",
         title="Read performance enhancement (PPB vs conventional)",
@@ -161,7 +195,7 @@ def figure12(runner: ExperimentRunner, scale: BenchScale = FULL_SCALE) -> Figure
         headers=["trace", "page size", "read enhancement"],
     )
     gains: dict[tuple[str, int], float] = {}
-    for trace, page_size, gain, _, _ in study:
+    for trace, page_size, gain in study:
         report.rows.append([trace, f"{page_size // 1024} KB", format_pct(gain)])
         gains[(trace, page_size)] = gain
     report.chart = ascii_series(
@@ -191,9 +225,9 @@ def figure12(runner: ExperimentRunner, scale: BenchScale = FULL_SCALE) -> Figure
     return report
 
 
-def figure15(runner: ExperimentRunner, scale: BenchScale = FULL_SCALE) -> FigureReport:
+def figure15(runner: ReplayRunner, base: ScenarioSpec = FULL) -> FigureReport:
     """Fig. 15: write performance enhancement vs page size (~zero)."""
-    study = _page_size_study(runner, scale, "host_write_us")
+    study = _page_size_study(runner, base, "host_write_us")
     report = FigureReport(
         figure_id="Figure 15",
         title="Write performance enhancement (PPB vs conventional)",
@@ -201,7 +235,7 @@ def figure15(runner: ExperimentRunner, scale: BenchScale = FULL_SCALE) -> Figure
         headers=["trace", "page size", "write enhancement"],
     )
     gains = []
-    for trace, page_size, gain, _, _ in study:
+    for trace, page_size, gain in study:
         report.rows.append([trace, f"{page_size // 1024} KB", format_pct(gain)])
         gains.append(gain)
     report.checks = [
@@ -218,8 +252,8 @@ def figure15(runner: ExperimentRunner, scale: BenchScale = FULL_SCALE) -> Figure
 # ----------------------------------------------------------------------
 
 def _speed_sweep(
-    runner: ExperimentRunner,
-    scale: BenchScale,
+    runner: ReplayRunner,
+    base: ScenarioSpec,
     trace: str,
     attr: str,
     figure_id: str,
@@ -235,12 +269,11 @@ def _speed_sweep(
     )
     conv_series, ppb_series, gains = [], [], []
     for ratio in SPEED_SWEEP:
-        cell = Cell(workload=trace, speed_ratio=ratio, scale=scale)
-        base, ppb = runner.compare(cell)
-        gain = _gain(base, ppb, attr)
+        conv_ftl, ppb_ftl = compare(runner, base, trace, speed_ratio=ratio)
+        gain = _gain(conv_ftl, ppb_ftl, attr)
         gains.append(gain)
-        conv = getattr(base, attr) / 1e6
-        improved = getattr(ppb, attr) / 1e6
+        conv = getattr(conv_ftl.stats, attr) / 1e6
+        improved = getattr(ppb_ftl.stats, attr) / 1e6
         conv_series.append(conv)
         ppb_series.append(improved)
         report.rows.append(
@@ -274,13 +307,13 @@ def _speed_sweep(
     return report
 
 
-def figure13(runner: ExperimentRunner, scale: BenchScale = FULL_SCALE) -> FigureReport:
+def figure13(runner: ReplayRunner, base: ScenarioSpec = FULL) -> FigureReport:
     """Fig. 13: media server read latency vs speed difference."""
     return _speed_sweep(
         runner,
-        scale,
+        base,
         "media-server",
-        "read_us",
+        "host_read_us",
         "Figure 13",
         "Media server trace: read latency comparison",
         "PPB below conventional at 2x..5x; ~10% average over the sweep",
@@ -288,13 +321,13 @@ def figure13(runner: ExperimentRunner, scale: BenchScale = FULL_SCALE) -> Figure
     )
 
 
-def figure14(runner: ExperimentRunner, scale: BenchScale = FULL_SCALE) -> FigureReport:
+def figure14(runner: ReplayRunner, base: ScenarioSpec = FULL) -> FigureReport:
     """Fig. 14: web server read latency vs speed difference."""
     return _speed_sweep(
         runner,
-        scale,
+        base,
         "web-sql",
-        "read_us",
+        "host_read_us",
         "Figure 14",
         "Web server trace: read latency comparison",
         "PPB below conventional at 2x..5x; ~10% average over the sweep",
@@ -302,11 +335,11 @@ def figure14(runner: ExperimentRunner, scale: BenchScale = FULL_SCALE) -> Figure
     )
 
 
-def figure16(runner: ExperimentRunner, scale: BenchScale = FULL_SCALE) -> FigureReport:
+def figure16(runner: ReplayRunner, base: ScenarioSpec = FULL) -> FigureReport:
     """Fig. 16: media server write latency vs speed difference."""
     return _speed_sweep(
         runner,
-        scale,
+        base,
         "media-server",
         "host_write_us",
         "Figure 16",
@@ -316,11 +349,11 @@ def figure16(runner: ExperimentRunner, scale: BenchScale = FULL_SCALE) -> Figure
     )
 
 
-def figure17(runner: ExperimentRunner, scale: BenchScale = FULL_SCALE) -> FigureReport:
+def figure17(runner: ReplayRunner, base: ScenarioSpec = FULL) -> FigureReport:
     """Fig. 17: web server write latency vs speed difference."""
     return _speed_sweep(
         runner,
-        scale,
+        base,
         "web-sql",
         "host_write_us",
         "Figure 17",
@@ -334,7 +367,7 @@ def figure17(runner: ExperimentRunner, scale: BenchScale = FULL_SCALE) -> Figure
 # Fig. 18 — erased block count
 # ----------------------------------------------------------------------
 
-def figure18(runner: ExperimentRunner, scale: BenchScale = FULL_SCALE) -> FigureReport:
+def figure18(runner: ReplayRunner, base: ScenarioSpec = FULL) -> FigureReport:
     """Fig. 18: erased block count, conventional vs PPB, both traces."""
     report = FigureReport(
         figure_id="Figure 18",
@@ -347,20 +380,14 @@ def figure18(runner: ExperimentRunner, scale: BenchScale = FULL_SCALE) -> Figure
     labels, conv_vals, ppb_vals = [], [], []
     ratios = []
     for trace in TRACES:
-        cell = Cell(workload=trace, speed_ratio=2.0, scale=scale)
-        base, ppb = runner.compare(cell)
-        increase = (
-            (ppb.erase_count - base.erase_count) / base.erase_count
-            if base.erase_count
-            else 0.0
-        )
+        conv, ppb = compare(runner, base, trace, speed_ratio=2.0)
+        conv_erases, ppb_erases = conv.stats.erase_count, ppb.stats.erase_count
+        increase = (ppb_erases - conv_erases) / conv_erases if conv_erases else 0.0
         ratios.append(increase)
         labels.append(trace)
-        conv_vals.append(float(base.erase_count))
-        ppb_vals.append(float(ppb.erase_count))
-        report.rows.append(
-            [trace, base.erase_count, ppb.erase_count, format_pct(increase, signed=True)]
-        )
+        conv_vals.append(float(conv_erases))
+        ppb_vals.append(float(ppb_erases))
+        report.rows.append([trace, conv_erases, ppb_erases, format_pct(increase, signed=True)])
     report.chart = ascii_series(
         labels,
         {"conventional": conv_vals, "ppb": ppb_vals},
@@ -381,7 +408,7 @@ def figure18(runner: ExperimentRunner, scale: BenchScale = FULL_SCALE) -> Figure
 
 #: registry used by the CLI and the benches.
 FIGURES = {
-    "table1": lambda runner, scale: table1(),
+    "table1": lambda runner, base: table1(),
     "12": figure12,
     "13": figure13,
     "14": figure14,

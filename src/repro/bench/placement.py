@@ -30,10 +30,9 @@ latency, retries, and refresh/relocation work.
 
 The speed-oblivious FTLs and pure-speed PPB do not depend on the weight
 axis, so the sweep requests them at every point and lets the
-:class:`~repro.bench.memo.ReplayRunner` memo absorb the repeats — the
-same trick :class:`~repro.bench.experiment.ExperimentRunner` plays for
-figure cells, and the report's last check proves no identical baseline
-was ever replayed twice.
+:class:`~repro.bench.memo.ReplayRunner` memo absorb the repeats — as
+the paper figures do with the runs they share — and the report's last
+check proves no identical baseline was ever replayed twice.
 
 Exposed as the ``placement`` CLI subcommand and driven at smoke scale
 by the unit tests.

@@ -5,17 +5,18 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from repro.bench.experiment import BenchScale, ExperimentRunner, FULL_SCALE
-from repro.bench.figures import FIGURES, FigureReport
+from repro.bench.figures import FIGURES, FULL, FigureReport
+from repro.bench.memo import ReplayRunner
+from repro.scenario.spec import ScenarioSpec
 
 
 def run_figures(
     ids: Iterable[str] | None = None,
-    runner: ExperimentRunner | None = None,
-    scale: BenchScale = FULL_SCALE,
+    runner: ReplayRunner | None = None,
+    base: ScenarioSpec = FULL,
 ) -> list[FigureReport]:
     """Run the requested figures (default: all) and return their reports."""
-    runner = runner or ExperimentRunner()
+    runner = runner or ReplayRunner()
     selected = list(ids) if ids is not None else list(FIGURES)
     reports = []
     for figure_id in selected:
@@ -23,7 +24,7 @@ def run_figures(
             raise KeyError(
                 f"unknown figure {figure_id!r}; choose from {sorted(FIGURES)}"
             )
-        reports.append(FIGURES[figure_id](runner, scale))
+        reports.append(FIGURES[figure_id](runner, base))
     return reports
 
 

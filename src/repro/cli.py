@@ -51,8 +51,7 @@ import argparse
 import dataclasses
 import sys
 
-from repro.bench.experiment import FULL_SCALE, SMOKE_SCALE, ExperimentRunner
-from repro.bench.figures import FIGURES
+from repro.bench.figures import FIGURES, FULL, SMOKE
 from repro.bench.memo import ReplayRunner
 from repro.bench.perf import (
     DEFAULT_REPORT,
@@ -81,7 +80,12 @@ from repro.bench.reporting import render_reports, run_figures
 from repro.errors import ConfigError
 from repro.nand.spec import sim_spec, table1_spec
 from repro.reliability.manager import ReliabilityConfig
-from repro.scenario.report import summarize_result, sweep_table, timed_summary_lines
+from repro.scenario.report import (
+    ftl_summary_lines,
+    summarize_result,
+    sweep_table,
+    timed_summary_lines,
+)
 from repro.scenario.serialize import ScenarioFile, load_scenario_file
 from repro.scenario.spec import ScenarioSpec
 from repro.scenario.sweep import (
@@ -127,7 +131,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--ftl", choices=["conventional", "fast", "ppb", "dftl"], default="ppb"
     )
-    run.add_argument("--requests", type=int, default=FULL_SCALE.num_requests)
+    run.add_argument("--requests", type=int, default=FULL.num_requests)
     run.add_argument("--speed-ratio", type=float, default=2.0)
     run.add_argument("--page-size", type=int, default=16 * 1024)
     run.add_argument("--seed", type=int, default=42)
@@ -646,9 +650,9 @@ def _cmd_perf(args: argparse.Namespace) -> int:
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
-    scale = FULL_SCALE if args.scale == "full" else SMOKE_SCALE
+    base = FULL if args.scale == "full" else SMOKE
     ids = None if args.id == "all" else [args.id]
-    reports = run_figures(ids, runner=ExperimentRunner(), scale=scale)
+    reports = run_figures(ids, ReplayRunner(), base)
     print(render_reports(reports))
     return 0 if all(r.all_checks_pass for r in reports) else 1
 
@@ -682,15 +686,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"repro-flash run: error: {exc}", file=sys.stderr)
         return 2
     print(result.summary())
-    ftl = result.ftl  # type: ignore[attr-defined]
-    print(f"host read total   {ftl.stats.host_read_us / 1e6:.3f} s")
-    print(f"host write total  {ftl.stats.host_write_us / 1e6:.3f} s")
-    print(f"gc total          {ftl.stats.gc_us / 1e6:.3f} s")
-    print(f"erased blocks     {ftl.stats.erase_count}")
-    print(f"write amp.        {ftl.stats.write_amplification:.3f}")
-    if hasattr(ftl, "fast_page_read_fraction"):
-        print(f"fast-half reads   {ftl.fast_page_read_fraction():.3f}")
-    for line in timed_summary_lines(result):
+    for line in ftl_summary_lines(result) + timed_summary_lines(result):
         print(line)
     return 0
 

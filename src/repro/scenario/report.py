@@ -38,14 +38,8 @@ def summarize_result(spec: ScenarioSpec, result: RunResult) -> str:
         f"trace             {result.trace_name} ({result.num_requests} requests)",
         f"mean read         {result.mean_read_page_us:.2f} us/page",
         f"mean write        {result.mean_write_page_us:.2f} us/page",
-        f"host read total   {ftl.stats.host_read_us / 1e6:.3f} s",
-        f"host write total  {ftl.stats.host_write_us / 1e6:.3f} s",
-        f"gc total          {ftl.stats.gc_us / 1e6:.3f} s",
-        f"erased blocks     {ftl.stats.erase_count}",
-        f"write amp.        {ftl.stats.write_amplification:.3f}",
+        *ftl_summary_lines(result),
     ]
-    if hasattr(ftl, "fast_page_read_fraction"):
-        lines.append(f"fast-half reads   {ftl.fast_page_read_fraction():.3f}")
     if spec.ftl == "dftl":
         extra = ftl.stats.extra
         lines.append(f"map cache hits    {_mapping_hit_ratio(extra):.3f}")
@@ -93,6 +87,26 @@ def summarize_result(spec: ScenarioSpec, result: RunResult) -> str:
         )
     lines += timed_summary_lines(result)
     return "\n".join(lines)
+
+
+def ftl_summary_lines(result: RunResult) -> list[str]:
+    """The FTL digest lines: host read/write and GC time, erases, write
+    amplification, and the fast-half read fraction of speed-aware FTLs.
+
+    Shared by :func:`summarize_result` and ``repro run``.
+    """
+    ftl = result.ftl  # type: ignore[attr-defined]
+    stats = ftl.stats
+    lines = [
+        f"host read total   {stats.host_read_us / 1e6:.3f} s",
+        f"host write total  {stats.host_write_us / 1e6:.3f} s",
+        f"gc total          {stats.gc_us / 1e6:.3f} s",
+        f"erased blocks     {stats.erase_count}",
+        f"write amp.        {stats.write_amplification:.3f}",
+    ]
+    if hasattr(ftl, "fast_page_read_fraction"):
+        lines.append(f"fast-half reads   {ftl.fast_page_read_fraction():.3f}")
+    return lines
 
 
 def timed_summary_lines(result: RunResult) -> list[str]:

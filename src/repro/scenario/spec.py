@@ -1,10 +1,10 @@
 """The declarative scenario specification: one frozen object per experiment.
 
-Every experiment this repository runs — a paper figure cell, a
+Every experiment this repository runs — a paper figure point, a
 reliability sweep point, a placement frontier variant, a retention A/B
 re-read — is "replay a workload on a configured device", and
 :class:`ScenarioSpec` is the one description of it: the sweep drivers
-take a base spec plus their axes, and the figure cells reduce to one.
+and the paper figures take a base spec and derive their points from it.
 
 Design rules
 ------------

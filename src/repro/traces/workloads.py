@@ -525,7 +525,7 @@ class PatternSuiteWorkload(SyntheticWorkload):
 
 #: Canonical workload registry: name -> generator class.  This is THE
 #: lookup table — the scenario layer, the memoized replay runner, the
-#: figure cells and the CLI all resolve workload names through it, so a
+#: paper figures and the CLI all resolve workload names through it, so a
 #: new generator registered here is immediately sweepable everywhere.
 WORKLOADS: dict[str, type[SyntheticWorkload]] = {
     "media-server": MediaServerWorkload,
